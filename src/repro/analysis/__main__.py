@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default path: <root>/{DEFAULT_CACHE_NAME})",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="read/parse thread-pool size (default: cpu count, max 8)",
-    )
-    parser.add_argument(
         "--fix", action="store_true",
         help="apply mechanically-safe autofixes (suffix renames, "
         "zero-guard rewrites) before reporting; re-lints until stable",
@@ -237,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
             rules=rules,
             baseline=baseline,
             cache_path=cache_path,
-            jobs=args.jobs,
             cache_write=cache_write,
             changed_scope=changed_scope,
         )

@@ -38,9 +38,7 @@ instead (:mod:`.baseline`).
 from __future__ import annotations
 
 import ast
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -211,23 +209,16 @@ def discover(paths: Iterable[Path]) -> List[Path]:
     return sorted(out)
 
 
-def _default_jobs() -> int:
-    return min(8, (os.cpu_count() or 2))
-
-
 def _read_all(
-    files: Sequence[Path], jobs: int
+    files: Sequence[Path],
 ) -> List[Tuple[Path, bytes, Optional[OSError]]]:
-    def read_one(path: Path):
+    out = []
+    for path in files:
         try:
-            return (path, path.read_bytes(), None)
+            out.append((path, path.read_bytes(), None))
         except OSError as exc:  # surfaced as FileNotFoundError by discover
-            return (path, b"", exc)
-
-    if jobs <= 1 or len(files) < 4:
-        return [read_one(p) for p in files]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(read_one, files))
+            out.append((path, b"", exc))
+    return out
 
 
 def run_lint(
@@ -236,17 +227,17 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
     cache_path: Optional[Path] = None,
-    jobs: Optional[int] = None,
     cache_write: bool = True,
     changed_scope: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint ``paths`` and reconcile findings against ``baseline``.
 
-    ``cache_path`` attaches the incremental cache (:mod:`.cache`);
-    ``jobs`` bounds the read/parse thread pool (default: cpu count,
-    capped at 8).  ``cache_write=False`` replays from a warm cache but
-    never persists the run — used by ``--changed``, whose partial view
-    must not overwrite a whole-tree snapshot.
+    ``cache_path`` attaches the incremental cache (:mod:`.cache`).
+    Files are read and parsed serially: concurrent ``ast.parse`` calls
+    trip a CPython thread-safety bug (gh-106905), and the GIL leaves
+    threads nothing to overlap.  ``cache_write=False`` replays from a
+    warm cache but never persists the run — used by ``--changed``,
+    whose partial view must not overwrite a whole-tree snapshot.
 
     ``changed_scope`` is the ``--changed`` contract: ``paths`` still
     name the *whole* tree (so the project graph and summaries see every
@@ -268,14 +259,13 @@ def run_lint(
 
     root = Path(root) if root is not None else Path.cwd()
     rules = list(rules) if rules is not None else get_rules()
-    jobs = jobs if jobs is not None else _default_jobs()
     need_graph = any(r.needs_graph for r in rules)
     file_rules = [r for r in rules if r.scope == "file" and not r.uses_project]
     graph_file_rules = [r for r in rules if r.scope == "file" and r.uses_project]
     project_rules = [r for r in rules if r.scope == "project"]
 
     files = discover(paths)
-    reads = _read_all(files, jobs)
+    reads = _read_all(files)
     rels = {path: _relpath(path, root) for path, _, _ in reads}
     hashes = {rels[path]: content_hash(data) for path, data, _ in reads}
 
@@ -308,7 +298,7 @@ def run_lint(
         )
 
     # ------------------------------------------------------------------
-    # parse (parallel), build graph, dispatch rules
+    # parse, build graph, dispatch rules
     # ------------------------------------------------------------------
     parse_errors: Dict[str, Finding] = {}
 
@@ -330,12 +320,7 @@ def run_lint(
             )
             return None
 
-    if jobs <= 1 or len(reads) < 4:
-        units = [parse_one(item) for item in reads]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(parse_one, reads))
-    units = [u for u in units if u is not None]
+    units = [u for u in map(parse_one, reads) if u is not None]
 
     ctx = LintContext(root=root, units={u.relpath: u for u in units})
     if need_graph:

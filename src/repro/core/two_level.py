@@ -25,11 +25,18 @@ Performance layer (see DESIGN.md "Performance"): the per-group tables
 ``(market, spec, ondemand cost, config)`` — not on the deadline — so
 they are shared across optimizer instances through a cache that lives
 with each group's :class:`FailureModel`.  Subset score vectors and exact
-re-evaluations are likewise memoised, and ``optimize_subset`` accepts an
-incumbent bound (``prune_above``) that lets the subset search skip
-combinations that provably cannot beat the best feasible cost found so
-far.  All caches are exact and every pruning bound is admissible, so
-results are bit-identical with the caches and pruning disabled.
+re-evaluations are likewise memoised.
+
+The subset search is bound-first.  ``optimize_subset`` accepts the
+traversal's incumbent (``prune_above``) and, before any grid product,
+compares it with the subset's admissible bound and then with a
+separable floor of *every* combination; the exact re-evaluation loop
+stops once no remaining candidate's floor can beat it.  The floors and
+the grid products are built on the subset's (k-1)-prefix
+(:class:`_Prefix`), one broadcast per level, reusing the prefix across
+consecutive subsets.  All caches are exact, every bound is admissible
+and the prefix products are bit-identical to the from-ones products,
+so results are bit-identical with the caches and pruning disabled.
 
 Disk tier (DESIGN.md §10): every shared cache entry is keyed by a
 *content token* — a hash of the trace content plus every scalar that
@@ -45,6 +52,7 @@ with the store on, off, deleted or corrupted mid-run.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Tuple
@@ -234,10 +242,61 @@ class _GroupTable:
     surv_ratio: np.ndarray  # (nb, RATIO_GRID) P(ratio >= midpoint)
     surv_wall: np.ndarray  # (nb, WALL_GRID)  P(wall  >= midpoint)
     token: str = ""
+    below_wall: np.ndarray = field(init=False)  # 1 - surv_wall
+
+    def __post_init__(self) -> None:
+        self.below_wall = 1.0 - self.surv_wall
 
     @property
     def n_bids(self) -> int:
         return int(self.bids.size)
+
+
+class _Prefix:
+    """Per-combination floors and grid products of one subset prefix.
+
+    Rows enumerate the prefix's bid combinations row-major (last group
+    fastest, the :func:`_combo_batches` order).  Each level is one
+    broadcast against its parent's vectors, so every element is the
+    streaming path's from-ones accumulation with the leading ``1.0 *``
+    or ``0.0 +`` dropped — an exact identity, hence bit-identical.
+    The ``(rows, grid)`` products are built on first use only: most
+    subsets are pruned on their floors alone.
+    """
+
+    __slots__ = ("parent", "table", "spot", "ratio", "wall", "_grid")
+
+    def __init__(self, parent: Optional["_Prefix"], table: _GroupTable) -> None:
+        self.parent, self.table = parent, table
+        self._grid: Optional[tuple[np.ndarray, np.ndarray]] = None
+        if parent is None:
+            self.spot, self.ratio, self.wall = (
+                table.e_spot, table.e_ratio, table.e_wall
+            )
+            return
+        self.spot = (parent.spot[:, None] + table.e_spot).ravel()
+        self.ratio = (parent.ratio[:, None] * table.e_ratio).ravel()
+        self.wall = np.maximum(parent.wall[:, None], table.e_wall).ravel()
+
+    def floor(self, objective: str, full_run_cost: float) -> np.ndarray:
+        """Admissible per-combination floor of the exact score (DESIGN §6)."""
+        if objective == "cost":
+            return self.spot + self.ratio * full_run_cost
+        return self.wall
+
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(prod surv_ratio, prod (1 - surv_wall))``, one row per combo."""
+        if self._grid is None:
+            t = self.table
+            if self.parent is None:
+                self._grid = (t.surv_ratio, t.below_wall)
+            else:
+                surv, below = self.parent.grid()
+                self._grid = (
+                    (surv[:, None, :] * t.surv_ratio).reshape(-1, _RATIO_GRID),
+                    (below[:, None, :] * t.below_wall).reshape(-1, _WALL_GRID),
+                )
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -302,6 +361,10 @@ class TwoLevelOptimizer:
         self._sidecar_seen: set = set()
         self.combos_evaluated = 0
         self.subsets_pruned = 0
+        # Live prefix chain: entry j is (indices[:j + 1], _Prefix).  The
+        # exhaustive traversal is lexicographic and greedy extends one
+        # fixed prefix, so consecutive subsets share all but the tail.
+        self._chain: list[tuple[tuple[int, ...], _Prefix]] = []
         self._store = None
         if config.table_cache and config.artifact_cache:
             from ..execution.artifacts import get_store
@@ -774,43 +837,63 @@ class TwoLevelOptimizer:
         self._build_tables()
         tables = [self._tables[i] for i in indices]
         sizes = [t.n_bids for t in tables]
-        total = int(np.prod(sizes))
+        total = math.prod(sizes)
         # Counts the search-space coverage (the paper's "bid combinations
         # traversed"), not the arithmetic actually performed — pruned and
         # cache-served combinations are still logically covered.
         self.combos_evaluated += total
 
+        limit = None
         if prune_above is not None:
+            limit = prune_above * (1.0 + _PRUNE_MARGIN) + 1e-12
             if bound is None:
                 bound = self._subset_bound(tables, objective)
-            if bound >= prune_above * (1.0 + _PRUNE_MARGIN) + 1e-12:
+            if bound >= limit:
                 self.subsets_pruned += 1
+                obs.get_metrics().inc("plan.subsets_pruned.bound")
                 return None
+        node = self._prefix_node(indices)
+        floor = node.floor(objective, self.ondemand.full_run_cost)
+        if limit is not None and floor.min() >= limit:
+            self.subsets_pruned += 1
+            obs.get_metrics().inc("plan.subsets_pruned.combo")
+            return None
 
-        candidates: list[tuple[float, float, tuple[int, ...]]] = []
-
-        for batch, cost, time in self._scored_batches(
-            tables, sizes, total, objective, prune_above
+        candidates: list[tuple[float, float, list]] = []
+        for lo, batch, cost, time in self._scored_batches(
+            tables, node, sizes, total, objective, prune_above
         ):
             if objective == "cost":
                 constraint, score = time, cost
-                limit = self.problem.deadline
+                cap = self.problem.deadline
             else:
                 constraint, score = cost, time
-                limit = budget
+                cap = budget
             # Keep a slightly generous feasibility margin; the exact
             # re-evaluation below is the authority.
-            feasible = np.flatnonzero(constraint <= limit * 1.02 + 1e-9)
+            feasible = np.flatnonzero(constraint <= cap * 1.02 + 1e-9)
             if feasible.size > _EXACT_FALLBACK_TRIES:
                 top = np.argpartition(score[feasible], _EXACT_FALLBACK_TRIES)
                 feasible = feasible[top[:_EXACT_FALLBACK_TRIES]]
-            for c in feasible:
-                candidates.append((float(score[c]), float(cost[c]), tuple(batch[c])))
+            candidates.extend(zip(
+                score[feasible].tolist(),
+                floor[lo + feasible].tolist(),
+                batch[feasible].tolist(),
+            ))
 
         if not candidates:
             return None
         candidates.sort(key=lambda item: item[0])
-        for _score, _cost, combo in candidates[:_EXACT_FALLBACK_TRIES]:
+        candidates = candidates[:_EXACT_FALLBACK_TRIES]
+        # Cut-off: once every remaining candidate's floor is >= limit, no
+        # later return could replace the incumbent (the traversal adopts
+        # only a strict improvement), so stop before the exact checks.
+        live = len(candidates)
+        if limit is not None:
+            while live and candidates[live - 1][1] >= limit:
+                live -= 1
+        for _score, _floor, combo in candidates[:live]:
+            combo = tuple(combo)
             outcomes = [t.outcomes[b] for t, b in zip(tables, combo)]
             exact = self._evaluate_exact(tables, combo, outcomes)
             ok = (
@@ -837,71 +920,101 @@ class TwoLevelOptimizer:
                     expectation=exact,
                     combos_evaluated=total,
                 )
+        if live < len(candidates):
+            obs.get_metrics().inc("plan.exact_cutoffs")
         return None
+
+    def _prefix_node(self, indices: Tuple[int, ...]) -> _Prefix:
+        """The subset's :class:`_Prefix`, built on its (k-1)-prefix.
+
+        Proper prefixes come from (and replace entries of) the live
+        chain, so it never holds more than ``kappa - 1`` nodes; the
+        subset's own node is not kept.
+        """
+        chain = self._chain
+        parent = None
+        for j in range(len(indices) - 1):
+            head = indices[:j + 1]
+            if j < len(chain) and chain[j][0] == head:
+                parent = chain[j][1]
+                continue
+            del chain[j:]
+            parent = _Prefix(parent, self._tables[indices[j]])
+            chain.append((head, parent))
+        return _Prefix(parent, self._tables[indices[-1]])
 
     # ------------------------------------------------------------------
     def _scored_batches(
         self,
         tables: Sequence[_GroupTable],
+        node: _Prefix,
         sizes: Sequence[int],
         total: int,
         objective: str,
         prune_above: Optional[float],
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(batch, cost, time)`` score vectors for the subset.
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(offset, batch, cost, time)`` score vectors for the
+        subset; ``offset`` is the batch's first row in ``node``'s order.
 
         Single-batch subsets (the common case) are served from / stored
         into the shared score cache, because the score vectors depend
-        only on the group tables — not on deadline or budget.  Whole
-        batches whose *separable* spot cost already exceeds the incumbent
-        are skipped before the grid products: every combination they
-        contain has exact cost >= its spot cost, and their approximate
-        scores likewise, so the skipped candidates sort strictly after
-        every candidate that could still beat the incumbent — dropping
-        them cannot change which combination the exact fallback returns
-        to the traversal.
+        only on the group tables — not on deadline or budget — and are
+        scored from ``node``'s prefix-shared products.  Subsets above
+        ``_MAX_BATCH`` rows stream through the from-ones products, and
+        whole streamed batches whose *separable* spot cost already
+        exceeds the incumbent are skipped before the grid products:
+        every combination they contain has exact cost >= its spot cost,
+        and their approximate scores likewise, so the skipped candidates
+        sort strictly after every candidate that could still beat the
+        incumbent — dropping them cannot change which combination the
+        exact fallback returns to the traversal.
         """
-        cache_key = None
-        if self.config.table_cache and total <= _MAX_BATCH:
-            cache_key = (tuple(t.token for t in tables), self._wall_hi)
-            cached = _SUBSET_EVAL_CACHE.get(cache_key)
-            if cached is not None:
-                obs.get_metrics().inc("cache.subset_hits")
-                yield cached
-                return
-            obs.get_metrics().inc("cache.subset_misses")
+        ratio_d, wall_d = self._ratio_delta, self._wall_delta
+        odc, odt = self.ondemand.full_run_cost, self.ondemand.exec_time
+        if total <= _MAX_BATCH:
+            cache_key = None
+            if self.config.table_cache:
+                cache_key = (tuple(t.token for t in tables), self._wall_hi)
+                cached = _SUBSET_EVAL_CACHE.get(cache_key)
+                if cached is not None:
+                    obs.get_metrics().inc("cache.subset_hits")
+                    yield (0, *cached)
+                    return
+                obs.get_metrics().inc("cache.subset_misses")
+            batch = next(_combo_batches(sizes, _MAX_BATCH))
+            surv_r, prod_below_w = node.grid()
+            e_min_ratio = ratio_d * surv_r.sum(axis=1)
+            e_max_wall = wall_d * (1.0 - prod_below_w).sum(axis=1)
+            cost = node.spot + e_min_ratio * odc
+            time = e_max_wall + e_min_ratio * odt
+            if cache_key is not None:
+                if len(_SUBSET_EVAL_CACHE) >= _SUBSET_EVAL_CACHE_MAX:
+                    _SUBSET_EVAL_CACHE.clear()
+                _SUBSET_EVAL_CACHE[cache_key] = (batch, cost, time)
+            yield 0, batch, cost, time
+            return
 
-        for batch in _combo_batches(sizes, _MAX_BATCH):
-            cost_spot = np.zeros(batch.shape[0])
-            for g, table in enumerate(tables):
-                cost_spot += table.e_spot[batch[:, g]]
+        offsets = range(0, total, _MAX_BATCH)
+        for lo, batch in zip(offsets, _combo_batches(sizes, _MAX_BATCH)):
+            rows_n = batch.shape[0]
+            cost_spot = node.spot[lo:lo + rows_n]
             if (
                 prune_above is not None
                 and objective == "cost"
                 and float(cost_spot.min()) >= prune_above
             ):
-                # Applies to cacheable batches too (lazy fill): the
-                # cache entry simply stays unfilled until some caller
-                # actually needs the full score vectors.  Skipping the
-                # grid products here was previously disabled when the
-                # batch was cacheable, which made the *cold* cache-on
-                # path measurably slower than the cache-off seed path.
                 continue
-            surv_r = np.ones((batch.shape[0], _RATIO_GRID))
-            prod_below_w = np.ones((batch.shape[0], _WALL_GRID))
+            surv_r = np.ones((rows_n, _RATIO_GRID))
+            prod_below_w = np.ones((rows_n, _WALL_GRID))
             for g, table in enumerate(tables):
                 rows = batch[:, g]
                 surv_r *= table.surv_ratio[rows]
-                prod_below_w *= 1.0 - table.surv_wall[rows]
-            e_min_ratio = self._ratio_delta * surv_r.sum(axis=1)
-            e_max_wall = self._wall_delta * (1.0 - prod_below_w).sum(axis=1)
-            cost = cost_spot + e_min_ratio * self.ondemand.full_run_cost
-            time = e_max_wall + e_min_ratio * self.ondemand.exec_time
-            if cache_key is not None:
-                if len(_SUBSET_EVAL_CACHE) >= _SUBSET_EVAL_CACHE_MAX:
-                    _SUBSET_EVAL_CACHE.clear()
-                _SUBSET_EVAL_CACHE[cache_key] = (batch, cost, time)
-            yield batch, cost, time
+                prod_below_w *= table.below_wall[rows]
+            e_min_ratio = ratio_d * surv_r.sum(axis=1)
+            e_max_wall = wall_d * (1.0 - prod_below_w).sum(axis=1)
+            cost = cost_spot + e_min_ratio * odc
+            time = e_max_wall + e_min_ratio * odt
+            yield lo, batch, cost, time
 
     def _evaluate_exact(
         self,
