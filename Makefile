@@ -8,12 +8,12 @@ test:
 
 ## reprolint static invariants (DESIGN.md §9): fails on any new
 ## (non-baselined) finding; reprolint_baseline.json grandfathers the
-## documented exact float comparisons and nothing else.  Warm reruns
-## replay from the content-hash cache; reprolint.sarif feeds CI's
-## inline PR annotations.
+## documented exact float comparisons and nothing else.  Every run
+## lints the whole tree; reprolint.sarif feeds CI's inline PR
+## annotations.
 lint:
 	$(PYTHON) -m repro.analysis src benchmarks --baseline reprolint_baseline.json \
-		--cache --sarif reprolint.sarif
+		--sarif reprolint.sarif
 
 ## Apply mechanically-safe autofixes (suffix renames, zero guards,
 ## sorted() wraps) and scaffold TODO-marked inline suppressions for

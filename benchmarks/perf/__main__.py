@@ -4,7 +4,8 @@ Writes ``BENCH_planning.json``, ``BENCH_replay.json``,
 ``BENCH_market.json``, ``BENCH_lint.json`` and ``BENCH_pool.json`` at
 the repository root.  When a file already exists *for the same mode*
 (quick/full), the primary metric may not regress by more than
-``_MAX_REGRESSION`` (20%) — the run fails and the old file is kept
+``_MAX_REGRESSION`` (20%), and may not change its name (a renamed
+primary times something else) — the run fails and the old file is kept
 unless ``--force`` is passed.  Files from the other mode are replaced
 without comparison (different workload sizes are not comparable).
 """
@@ -42,13 +43,20 @@ def _check_regression(path: pathlib.Path, doc: dict) -> str | None:
         return None
     if old.get("quick") != doc.get("quick"):
         return None  # different workload; not comparable
+    old_name = old.get("primary", {}).get("name")
+    new_name = doc.get("primary", {}).get("name")
     old_primary = old.get("primary", {}).get("seconds")
     new_primary = doc.get("primary", {}).get("seconds")
     if not old_primary or not new_primary:
         return None
+    if old_name != new_name:
+        return (
+            f"primary metric changed from {old_name} to {new_name}; "
+            "the old file times a different metric, so no comparison"
+        )
     if new_primary > old_primary * (1.0 + _MAX_REGRESSION):
         return (
-            f"{doc['primary']['name']} regressed "
+            f"{new_name} regressed "
             f"{new_primary / old_primary:.2f}x "
             f"({old_primary:.3f}s -> {new_primary:.3f}s, "
             f"threshold {1.0 + _MAX_REGRESSION:.2f}x)"

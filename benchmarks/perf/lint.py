@@ -1,85 +1,62 @@
-"""Lint-engine benchmark: cold parse vs warm cache replay.
+"""Lint-engine benchmark: one whole-tree lint, best of three.
 
-Lints the real ``src/`` tree twice against a throwaway cache file: the
-cold run reads, hashes and parses every module, builds the project
-graph and iterates the summary fixpoint; the warm run must hit the
-fully-warm gate (nothing changed → every finding replays, no parsing).
-A third, scoped run exercises the ``--changed`` path against the warm
-cache: the tree is re-analysed with a one-file scope, replaying every
-unchanged module and every unchanged summary SCC.  The suite asserts
-the runs agree finding-for-finding and that the warm path really
-replayed every file, then reports the throughputs.  The primary metric
-is the warm time — the one ``make lint`` pays on every developer
-invocation; ``summary_fixpoint_s`` isolates the interprocedural
-fixpoint's share of the cold run.
+Lints the real tree the way ``make lint`` does: every module is read
+and parsed, the project graph is built and the summary fixpoint
+iterated, every rule runs, and findings are reconciled against the
+repository baseline.  The suite asserts that every repeat reports the
+same findings and that nothing outside the baseline fires, then reports
+the best time.  The primary metric is that time, ``engine.cold_s``;
+``summary_fixpoint_s`` isolates the interprocedural fixpoint's share.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from pathlib import Path
 
+from repro.analysis.baseline import Baseline
 from repro.analysis.engine import run_lint
 from repro.analysis.registry import get_rules
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+_REPEATS = 3
 
 
 def run(quick: bool = False) -> dict:
     root = _REPO_ROOT
     # Quick mode lints the analysis package only (CI smoke); full mode
     # lints everything `make lint` does.
-    target = root / ("src/repro/analysis" if quick else "src")
+    targets = (
+        [root / "src/repro/analysis"] if quick
+        else [root / "src", root / "benchmarks"]
+    )
     rules = get_rules()
 
-    with tempfile.TemporaryDirectory(prefix="reprolint-bench-") as tmp:
-        cache = Path(tmp) / "cache.json"
-
+    times, results = [], []
+    for _ in range(_REPEATS):
+        # Claiming consumes baseline entries, so each run loads afresh.
+        baseline = Baseline.load(root / "reprolint_baseline.json")
         t0 = time.perf_counter()
-        cold = run_lint([target], root=root, rules=rules, cache_path=cache)
-        t1 = time.perf_counter()
-        # Warm replay is a few ms; take the best of three so the 20%
-        # regression guard compares the replay path, not OS jitter.
-        warm_times = []
-        for _ in range(3):
-            tw = time.perf_counter()
-            warm = run_lint([target], root=root, rules=rules, cache_path=cache)
-            warm_times.append(time.perf_counter() - tw)
-        t2 = time.perf_counter()
-        # Warm --changed: whole tree re-analysed, one file in scope,
-        # modules and summary SCCs replaying from the warm cache.
-        scope_rel = sorted(
-            p.resolve().relative_to(root).as_posix()
-            for p in target.rglob("*.py")
-        )[:1]
-        changed = run_lint(
-            [target], root=root, rules=rules, cache_path=cache,
-            cache_write=False, changed_scope=set(scope_rel),
+        results.append(
+            run_lint(targets, root=root, rules=rules, baseline=baseline)
         )
-        t3 = time.perf_counter()
+        times.append(time.perf_counter() - t0)
 
-    cold_s, warm_s, changed_warm_s = t1 - t0, min(warm_times), t3 - t2
-    assert cold.cache_mode == "cold", f"expected cold run, got {cold.cache_mode}"
-    assert warm.cache_mode == "full", (
-        f"warm run fell off the replay path ({warm.cache_mode}); "
-        "the cache fingerprint or dep tracking is broken"
-    )
-    assert warm.files_replayed == warm.files_checked
-    assert [f.to_json() for f in cold.findings] == [
-        f.to_json() for f in warm.findings
-    ], "cache replay changed the findings"
-    scoped = {f.path for f in changed.findings}
-    assert scoped <= (changed.lint_scope or set()), (
-        "--changed reported findings outside its scope"
-    )
-    summary_stats = cold.summary_stats or {}
-    changed_stats = changed.summary_stats or {}
-    assert changed_stats.get("recomputed", 0) <= summary_stats.get(
-        "recomputed", 0
-    ), "warm --changed re-summarized more SCCs than the cold run built"
+    def reported(result):
+        return [f.to_json() for f in (*result.findings, *result.baselined)]
 
-    files = cold.files_checked
+    first = results[0]
+    assert all(reported(r) == reported(first) for r in results[1:]), (
+        "repeated lints of an unchanged tree disagree"
+    )
+    assert not first.findings, (
+        f"{len(first.findings)} finding(s) outside the baseline: "
+        + "; ".join(f.format() for f in first.findings[:5])
+    )
+
+    cold_s = min(times)
+    files = first.files_checked
+    stats = first.summary_stats or {}
     return {
         "suite": "lint",
         "files": files,
@@ -87,20 +64,15 @@ def run(quick: bool = False) -> dict:
         "metrics": {
             "engine": {
                 "cold_s": round(cold_s, 4),
-                "warm_s": round(warm_s, 4),
-                "changed_warm_s": round(changed_warm_s, 4),
                 "cold_files_per_s": round(files / cold_s, 1),
-                "warm_files_per_s": round(files / warm_s, 1),
-                "speedup": round(cold_s / warm_s, 2) if warm_s > 0 else None,
-                "findings": len(cold.findings),
+                "findings": len(first.findings),
+                "baselined": len(first.baselined),
             },
             "summaries": {
-                "summary_fixpoint_s": summary_stats.get("fixpoint_s"),
-                "sccs": summary_stats.get("sccs"),
-                "functions": summary_stats.get("functions"),
-                "changed_replayed": changed_stats.get("replayed"),
-                "changed_recomputed": changed_stats.get("recomputed"),
+                "summary_fixpoint_s": stats.get("fixpoint_s"),
+                "sccs": stats.get("sccs"),
+                "functions": stats.get("functions"),
             },
         },
-        "primary": {"name": "engine.warm_s", "seconds": warm_s},
+        "primary": {"name": "engine.cold_s", "seconds": cold_s},
     }

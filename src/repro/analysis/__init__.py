@@ -13,10 +13,10 @@ set and workflow.
 The v2 engine is whole-program: every lint builds a
 :class:`~.project.ProjectGraph` (import graph, symbol tables, call
 graph) when any selected rule needs it, unit dimensions flow through an
-intraprocedural dataflow lattice (:mod:`.dataflow`), a content-hash
-cache (:mod:`.cache`) replays findings for unchanged files — including
-a fully-warm path that parses nothing — and mechanically-safe findings
-carry autofix hints applied by ``--fix`` (:mod:`.fixers`).
+intraprocedural dataflow lattice (:mod:`.dataflow`), and
+mechanically-safe findings carry autofix hints applied by ``--fix``
+(:mod:`.fixers`).  Every run parses and analyses the whole tree
+serially; nothing is cached between runs.
 
 Run it as ``python -m repro.analysis [paths]`` or ``make lint``.
 Programmatic entry points:
@@ -29,7 +29,6 @@ Programmatic entry points:
 """
 
 from .baseline import Baseline, BaselineEntry, DEFAULT_BASELINE_NAME
-from .cache import DEFAULT_CACHE_NAME, LintCache
 from .engine import LintContext, LintResult, ModuleUnit, load_unit, run_lint
 from .findings import Finding, Severity
 from .fixers import FixReport, fix_paths
@@ -40,10 +39,8 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_NAME",
     "Finding",
     "FixReport",
-    "LintCache",
     "LintContext",
     "LintResult",
     "ModuleUnit",

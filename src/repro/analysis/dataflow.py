@@ -3,10 +3,11 @@
 Two layers live here:
 
 * The **naming-convention classifier** (``classify_name`` /
-  ``infer_dim``) — the original suffix-only inference of reprolint v1,
-  kept verbatim as both the lattice's seed and the regression oracle:
-  fixtures assert that drift the suffix pass provably misses is caught
-  by the dataflow pass.
+  ``infer_dim``) — suffix-only inference.  ``classify_name`` seeds the
+  lattice from parameter and attribute names; ``infer_dim`` classifies
+  a whole name-shaped expression and is used live by R005, which needs
+  it to tell dollar-vs-dollar equality apart and to decide when its
+  zero-guard autofix is sign-safe.
 * The **intraprocedural propagator** (:func:`analyze_scope`) — walks one
   function (or the module body) in source order carrying an environment
   of variable → dimension facts, seeded from parameter names and grown
@@ -83,7 +84,7 @@ def suffix_dim(name: str) -> Optional[str]:
 
 
 def infer_dim(node: ast.AST) -> Optional[str]:
-    """Suffix-only dimension of an expression (the v1 oracle).
+    """Suffix-only dimension of a name-shaped expression.
 
     Only name-shaped expressions are classified; calls and arithmetic
     products are unknown by design (multiplication/division is how unit

@@ -1,21 +1,16 @@
-"""Lint driver: discovery, parallel parsing, caching, rule dispatch.
+"""Lint driver: discovery, serial parsing, rule dispatch.
 
 The engine is deliberately import-free of the hot simulation paths — it
-touches only ``ast``, ``pathlib``, ``concurrent.futures`` and the
-sibling lint modules, so ``make lint`` never pays (or perturbs) a model
-import.
+touches only ``ast``, ``pathlib`` and the sibling lint modules, so
+``make lint`` never pays (or perturbs) a model import.
 
-A run has four phases:
+Every run takes the same single path:
 
-1. **Read + hash** every discovered file (thread pool — this is I/O).
-2. **Cache gate** — with a cache attached and *nothing* changed (same
-   engine fingerprint, same file set and hashes, same out-of-tree
-   dependencies), every finding replays from the cache and no parsing
-   happens at all.  Otherwise:
-3. **Parse** all files (thread pool), build the
-   :class:`~.project.ProjectGraph` when any selected rule needs it, and
-   dispatch: file-scope rules run per module (replaying per-file from
-   the cache when that file's hash is unchanged), project-scope rules
+1. **Read + parse** every discovered file, one after another; a file
+   that does not parse becomes an ``R000`` finding.
+2. **Analyse**: build the :class:`~.project.ProjectGraph`, the escape
+   analysis and the function summaries when a selected rule needs them.
+3. **Dispatch**: file-scope rules run per module, project-scope rules
    run once over the graph.
 4. **Reconcile** against the baseline (:mod:`.baseline`).
 
@@ -41,8 +36,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..errors import ConfigurationError
 from .baseline import Baseline, BaselineEntry
 from .findings import Finding, Severity
 from .registry import Rule, get_rules
@@ -89,7 +85,7 @@ class ModuleUnit:
 
 @dataclass
 class LintContext:
-    """Shared state rules may consult (root, file cache, project graph)."""
+    """Shared state rules may consult (root, file reads, project graph)."""
 
     root: Path
     project: Optional["object"] = None  # ProjectGraph when a rule needs it
@@ -99,12 +95,7 @@ class LintContext:
     _file_cache: Dict[str, Optional[str]] = field(default_factory=dict)
 
     def read_project_file(self, relpath: str) -> Optional[str]:
-        """Text of ``root/relpath``, or None when absent (cached).
-
-        Every file read this way is recorded as an out-of-tree cache
-        dependency: project-scope findings replay only while its
-        content is unchanged.
-        """
+        """Text of ``root/relpath``, or None when absent (memoised)."""
         if relpath not in self._file_cache:
             p = self.root / relpath
             self._file_cache[relpath] = (
@@ -115,14 +106,6 @@ class LintContext:
     def unit_for(self, relpath: str) -> Optional[ModuleUnit]:
         return self.units.get(relpath)
 
-    def dep_hashes(self) -> Dict[str, Optional[str]]:
-        from .cache import content_hash
-
-        return {
-            rel: (content_hash(text.encode("utf-8")) if text is not None else None)
-            for rel, text in self._file_cache.items()
-        }
-
 
 @dataclass
 class LintResult:
@@ -132,13 +115,8 @@ class LintResult:
     baselined: List[Finding]  # matched a baseline entry
     stale_baseline: List[BaselineEntry]  # baseline entries nothing matched
     files_checked: int = 0
-    cache_mode: str = "off"  # "off" | "cold" | "partial" | "full"
-    files_replayed: int = 0  # files whose findings came from the cache
-    #: In ``--changed`` runs: the relpaths whose findings were kept
-    #: (changed files plus their import-graph closure); None otherwise.
-    lint_scope: Optional[set] = None
-    #: Fixpoint statistics of the summary build (sccs, replayed,
-    #: recomputed, fixpoint_s) when a selected rule needed summaries.
+    #: Fixpoint statistics of the summary build (sccs, functions,
+    #: fixpoint_s) when a selected rule needed summaries.
     summary_stats: Optional[dict] = None
 
     @property
@@ -209,118 +187,55 @@ def discover(paths: Iterable[Path]) -> List[Path]:
     return sorted(out)
 
 
-def _read_all(
-    files: Sequence[Path],
-) -> List[Tuple[Path, bytes, Optional[OSError]]]:
-    out = []
-    for path in files:
-        try:
-            out.append((path, path.read_bytes(), None))
-        except OSError as exc:  # surfaced as FileNotFoundError by discover
-            out.append((path, b"", exc))
-    return out
-
-
 def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
-    cache_path: Optional[Path] = None,
-    cache_write: bool = True,
-    changed_scope: Optional[Iterable[str]] = None,
+    cache_path: None = None,
 ) -> LintResult:
     """Lint ``paths`` and reconcile findings against ``baseline``.
 
-    ``cache_path`` attaches the incremental cache (:mod:`.cache`).
     Files are read and parsed serially: concurrent ``ast.parse`` calls
     trip a CPython thread-safety bug (gh-106905), and the GIL leaves
-    threads nothing to overlap.  ``cache_write=False`` replays from a
-    warm cache but never persists the run — used by ``--changed``,
-    whose partial view must not overwrite a whole-tree snapshot.
-
-    ``changed_scope`` is the ``--changed`` contract: ``paths`` still
-    name the *whole* tree (so the project graph and summaries see every
-    module), and the scope — a set of changed relpaths — filters what
-    is *reported*: file-scope findings only in changed files, project-
-    scope findings in the changed files plus every module connected to
-    them through the import graph.  That closes the v3 gap where graph
-    rules were simply dropped and cross-file regressions rode in
-    silently on an edit-loop lint.
+    threads nothing to overlap.  Every run re-analyses the whole tree;
+    there is no incremental cache, and ``cache_path`` is accepted only
+    as ``None`` so callers that spell the cache-off run explicitly keep
+    working.
     """
-    from .cache import (
-        LintCache,
-        content_hash,
-        decode_findings,
-        encode_findings,
-        engine_fingerprint,
-        project_fingerprint,
-    )
-
+    if cache_path is not None:
+        raise ConfigurationError(
+            f"reprolint has no incremental cache (cache_path={cache_path!r}); "
+            "pass cache_path=None or omit it"
+        )
     root = Path(root) if root is not None else Path.cwd()
     rules = list(rules) if rules is not None else get_rules()
     need_graph = any(r.needs_graph for r in rules)
-    file_rules = [r for r in rules if r.scope == "file" and not r.uses_project]
-    graph_file_rules = [r for r in rules if r.scope == "file" and r.uses_project]
+    file_rules = [r for r in rules if r.scope == "file"]
     project_rules = [r for r in rules if r.scope == "project"]
 
     files = discover(paths)
-    reads = _read_all(files)
-    rels = {path: _relpath(path, root) for path, _, _ in reads}
-    hashes = {rels[path]: content_hash(data) for path, data, _ in reads}
-
-    cache = LintCache.load(cache_path) if cache_path is not None else None
-    fingerprint = engine_fingerprint([r.id for r in rules]) if cache else ""
-    proj_fp = project_fingerprint(hashes) if cache else ""
-    cache_usable = cache is not None and cache.loaded and (
-        cache.fingerprint == fingerprint
-    )
-
-    # ------------------------------------------------------------------
-    # fully-warm path: nothing changed anywhere -> replay, no parsing
-    # (a --changed run always parses: the scope filter needs the graph)
-    # ------------------------------------------------------------------
-    if (
-        changed_scope is None
-        and cache_usable
-        and cache.project_fp == proj_fp
-        and set(cache.files) == set(hashes)
-        and all(cache.files[r].get("hash") == h for r, h in hashes.items())
-        and cache.deps_unchanged(root)
-    ):
-        raw: List[Finding] = []
-        for entry in cache.files.values():
-            raw.extend(decode_findings(entry.get("file_findings", [])))
-            raw.extend(decode_findings(entry.get("project_findings", [])))
-        return _finish(
-            raw, baseline, len(files), cache_mode="full",
-            files_replayed=len(files),
-        )
-
-    # ------------------------------------------------------------------
-    # parse, build graph, dispatch rules
-    # ------------------------------------------------------------------
-    parse_errors: Dict[str, Finding] = {}
-
-    def parse_one(item):
-        path, data, err = item
-        relpath = rels[path]
-        if err is not None:
+    linted = set()
+    raw: List[Finding] = []
+    units: List[ModuleUnit] = []
+    for path in files:
+        relpath = _relpath(path, root)
+        linted.add(relpath)
+        try:
+            data = path.read_bytes()
+        except OSError:
             raise FileNotFoundError(f"lint target does not exist: {path}")
         try:
-            return load_unit(path, root, source=data.decode("utf-8"))
+            units.append(load_unit(path, root, source=data.decode("utf-8")))
         except SyntaxError as exc:
-            parse_errors[relpath] = Finding(
+            raw.append(Finding(
                 rule=PARSE_RULE,
                 severity=Severity.ERROR,
                 path=relpath,
                 line=exc.lineno or 1,
                 col=exc.offset or 0,
                 message=f"file does not parse: {exc.msg}",
-            )
-            return None
-
-    units = [u for u in map(parse_one, reads) if u is not None]
+            ))
 
     ctx = LintContext(root=root, units={u.relpath: u for u in units})
     if need_graph:
@@ -334,51 +249,17 @@ def run_lint(
         if any(getattr(r, "needs_summaries", False) for r in rules):
             from .summaries import SummaryIndex
 
-            module_hashes = {
-                syms.module: hashes[relpath]
-                for relpath, syms in ctx.project.by_relpath.items()
-                if relpath in hashes
-            }
-            ctx.summaries = SummaryIndex.build(
-                ctx.project,
-                module_hashes,
-                cached=cache.summaries if cache_usable else None,
-            )
+            ctx.summaries = SummaryIndex.build(ctx.project)
 
-    per_file: Dict[str, dict] = {
-        relpath: {"hash": hashes[relpath], "file_findings": [], "project_findings": []}
-        for relpath in hashes
-    }
-    for relpath, finding in parse_errors.items():
-        per_file[relpath]["file_findings"].append(finding)
-
-    files_replayed = 0
     for unit in units:
         if unit.skip_file:
             continue
-        entry = (
-            cache.file_entry(unit.relpath, hashes[unit.relpath])
-            if cache_usable
-            else None
-        )
-        if entry is not None:
-            per_file[unit.relpath]["file_findings"] = decode_findings(
-                entry.get("file_findings", [])
-            )
-            files_replayed += 1
-        else:
-            for rule in file_rules:
-                if not rule.applies(unit.relpath):
-                    continue
-                for finding in rule.check(unit, ctx):
-                    if not unit.is_suppressed(finding.rule, finding.line):
-                        per_file[unit.relpath]["file_findings"].append(finding)
-        for rule in graph_file_rules:
+        for rule in file_rules:
             if not rule.applies(unit.relpath):
                 continue
             for finding in rule.check(unit, ctx):
                 if not unit.is_suppressed(finding.rule, finding.line):
-                    per_file[unit.relpath]["project_findings"].append(finding)
+                    raw.append(finding)
 
     for rule in project_rules:
         for finding in rule.check_project(ctx):
@@ -388,107 +269,10 @@ def run_lint(
                 or unit.is_suppressed(finding.rule, finding.line)
             ):
                 continue
-            if finding.path in per_file:
-                per_file[finding.path]["project_findings"].append(finding)
+            if finding.path in linted:
+                raw.append(finding)
 
-    lint_scope = None
-    if changed_scope is not None:
-        changed = set(changed_scope)
-        lint_scope = changed | _affected_closure(ctx.project, changed)
-        wide_ids = {r.id for r in rules if r.needs_graph} | {PARSE_RULE}
-        for relpath, entry in per_file.items():
-            if relpath not in changed:
-                entry["file_findings"] = [
-                    f for f in entry["file_findings"] if f.rule in wide_ids
-                ] if relpath in lint_scope else []
-            if relpath not in lint_scope:
-                entry["project_findings"] = []
-        if baseline is not None:
-            # Entries for files outside the scope were never candidates
-            # this run; dropping them keeps "stale" meaningful.
-            baseline = Baseline([
-                e for e in baseline.entries
-                if e.path in changed
-                or (e.path in lint_scope and e.rule in wide_ids)
-            ])
-
-    raw = []
-    for entry in per_file.values():
-        raw.extend(entry["file_findings"])
-        raw.extend(entry["project_findings"])
-
-    # A scoped run holds filtered findings — never a whole-tree snapshot.
-    if cache is not None and cache_write and changed_scope is None:
-        cache.save(
-            fingerprint,
-            proj_fp,
-            ctx.dep_hashes(),
-            {
-                relpath: {
-                    "hash": entry["hash"],
-                    "file_findings": encode_findings(entry["file_findings"]),
-                    "project_findings": encode_findings(
-                        entry["project_findings"]
-                    ),
-                }
-                for relpath, entry in per_file.items()
-            },
-            summaries=(
-                ctx.summaries.scc_payload if ctx.summaries is not None else None
-            ),
-        )
-
-    mode = "off" if cache is None else ("partial" if files_replayed else "cold")
-    result = _finish(
-        raw, baseline, len(files), cache_mode=mode, files_replayed=files_replayed
-    )
-    result.lint_scope = lint_scope
-    if ctx.summaries is not None:
-        result.summary_stats = dict(ctx.summaries.stats)
-    return result
-
-
-def _affected_closure(graph, changed_rels: set) -> set:
-    """Relpaths whose project-scope findings an edit can move.
-
-    Undirected reachability over the import graph from the changed
-    modules: a changed callee shifts facts in its importers (reverse
-    edges), and a changed caller can newly reach sinks in what it
-    imports (forward edges).  Modules in neither closure cannot observe
-    the edit through any graph rule, so their findings are stable and
-    stay filtered.
-    """
-    if graph is None:
-        return set(changed_rels)
-    reverse: Dict[str, set] = {}
-    for src, targets in graph.import_edges.items():
-        for target in targets:
-            reverse.setdefault(target, set()).add(src)
-    mod_of = {rel: syms.module for rel, syms in graph.by_relpath.items()}
-    frontier = [mod_of[rel] for rel in changed_rels if rel in mod_of]
-    seen = set(frontier)
-    while frontier:
-        module = frontier.pop()
-        for neighbour in (
-            *graph.import_edges.get(module, ()),
-            *reverse.get(module, ()),
-        ):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return {
-        rel for rel, syms in graph.by_relpath.items() if syms.module in seen
-    }
-
-
-def _finish(
-    raw: List[Finding],
-    baseline: Optional[Baseline],
-    files_checked: int,
-    cache_mode: str,
-    files_replayed: int,
-) -> LintResult:
-    raw = sorted(raw, key=lambda f: f.sort_key)
+    raw.sort(key=lambda f: f.sort_key)
     baseline = baseline or Baseline()
     new: List[Finding] = []
     matched: List[Finding] = []
@@ -501,9 +285,10 @@ def _finish(
         findings=new,
         baselined=matched,
         stale_baseline=baseline.unclaimed(),
-        files_checked=files_checked,
-        cache_mode=cache_mode,
-        files_replayed=files_replayed,
+        files_checked=len(files),
+        summary_stats=(
+            dict(ctx.summaries.stats) if ctx.summaries is not None else None
+        ),
     )
 
 

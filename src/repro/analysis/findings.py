@@ -64,18 +64,3 @@ class Finding:
         if self.fix:
             out["fix"] = self.fix
         return out
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "Finding":
-        """Inverse of :meth:`to_json` (cache replay round-trip)."""
-        return cls(
-            rule=raw["rule"],
-            severity=Severity(raw["severity"]),
-            path=raw["path"],
-            line=int(raw["line"]),
-            col=int(raw["col"]),
-            message=raw["message"],
-            code=raw.get("code", ""),
-            baselined=bool(raw.get("baselined", False)),
-            fix=raw.get("fix"),
-        )

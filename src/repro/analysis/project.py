@@ -176,11 +176,10 @@ class ProjectGraph:
     # ------------------------------------------------------------------
     # condensation
     # ------------------------------------------------------------------
-    def sccs(self) -> Tuple[List[List[FuncKey]], Dict[FuncKey, int]]:
+    def sccs(self) -> List[List[FuncKey]]:
         """Strongly connected components of the call graph.
 
-        Returns ``(components, component_of)`` where ``components`` is
-        in **reverse topological order** — every call edge leaving a
+        The components come in **reverse topological order** — every call edge leaving a
         component points at an *earlier* entry in the list, so a single
         forward sweep sees callees before callers.  This is the
         evaluation order of the summary fixpoint (:mod:`.summaries`):
@@ -190,15 +189,14 @@ class ProjectGraph:
         Tarjan's algorithm, made iterative (an explicit work stack
         instead of recursion) so pathological call chains cannot hit the
         interpreter recursion limit.  Nodes are visited in sorted key
-        order, which makes the component order — and therefore the
-        content keys derived from it — deterministic across runs.
+        order, which makes the component order deterministic across
+        runs.
         """
         index: Dict[FuncKey, int] = {}
         low: Dict[FuncKey, int] = {}
         on_stack: Set[FuncKey] = set()
         stack: List[FuncKey] = []
         components: List[List[FuncKey]] = []
-        component_of: Dict[FuncKey, int] = {}
         counter = [0]
 
         def strongconnect(root: FuncKey) -> None:
@@ -242,11 +240,9 @@ class ProjectGraph:
                         if member == node:
                             break
                     component.sort()
-                    for member in component:
-                        component_of[member] = len(components)
                     components.append(component)
 
         for key in sorted(self.functions):
             if key not in index:
                 strongconnect(key)
-        return components, component_of
+        return components

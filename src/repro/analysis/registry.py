@@ -32,22 +32,21 @@ class Rule:
     and optionally :meth:`applies` to scope themselves to a subset of
     the tree.
 
-    Two orthogonal graph knobs drive dispatch and cache keying:
+    Four knobs drive dispatch and what the engine builds:
 
     * ``scope`` — ``"file"`` rules run per module via :meth:`check`;
       ``"project"`` rules run once per lint via :meth:`check_project`
       and see the whole :class:`~.project.ProjectGraph`.
     * ``uses_project`` — a *file*-scope rule that consults the graph
       (or sibling files through ``ctx.read_project_file``) sets this so
-      the incremental cache re-runs it when *any* file changes, not
-      just its own.  Project-scope rules imply it.
+      the engine builds ``ctx.project`` for it.  Project-scope rules
+      imply it.
     * ``needs_escape`` — the rule additionally consumes the escape
       analysis (:mod:`.escape`): the engine builds ``ctx.escape`` on
       top of the graph only when some selected rule asks for it.
     * ``needs_summaries`` — the rule consumes the interprocedural
       fixpoint summaries (:mod:`.summaries`): the engine builds
-      ``ctx.summaries`` on top of the graph only on demand, and the
-      cache replays them per call-graph SCC.
+      ``ctx.summaries`` on top of the graph only on demand.
 
     ``help_uri`` is surfaced as the SARIF rule descriptor's ``helpUri``
     so CI code-scanning annotations link back to the rule's docs.

@@ -43,9 +43,7 @@ def report_text(result: LintResult, out: IO[str], verbose: bool = False) -> None
     if stats:
         print(
             f"reprolint: summaries: {stats.get('functions', 0)} "
-            f"function(s) in {stats.get('sccs', 0)} SCC(s), "
-            f"{stats.get('replayed', 0)} replayed from cache, "
-            f"{stats.get('recomputed', 0)} recomputed "
+            f"function(s) in {stats.get('sccs', 0)} SCC(s) "
             f"({stats.get('fixpoint_s', 0.0):.3f}s fixpoint)",
             file=out,
         )

@@ -30,17 +30,13 @@ callee summaries (an unresolvable call still contributes nothing — the
 table is what keeps the direction honest for the IO leaves that
 matter).
 
-Summaries are content-keyed per SCC — the key hashes every member's
-module content hash plus the keys of all callee SCCs — and join the
-two-tier lint cache, so a warm ``--changed`` run re-summarizes only the
-SCCs reachable from the edit and replays the rest.
+Every lint rebuilds the whole table; nothing is cached between runs.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from hashlib import sha256
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -126,23 +122,6 @@ class FunctionSummary:
     entropy_return: bool = False
     seed_sink_params: FrozenSet[str] = frozenset()
     raises: FrozenSet[str] = frozenset()
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.return_dim,
-            "entropy": self.entropy_return,
-            "sinks": sorted(self.seed_sink_params),
-            "raises": sorted(self.raises),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FunctionSummary":
-        return cls(
-            return_dim=doc.get("dim"),
-            entropy_return=bool(doc.get("entropy")),
-            seed_sink_params=frozenset(doc.get("sinks", ())),
-            raises=frozenset(doc.get("raises", ())),
-        )
 
 
 @dataclass
@@ -434,63 +413,21 @@ class SummaryIndex:
 
     functions: Dict[FuncKey, FunctionSummary] = field(default_factory=dict)
     classes: Dict[Tuple[str, str], ClassFacts] = field(default_factory=dict)
-    #: Cache payload: SCC content key → [[module, qualname, summary]].
-    scc_payload: Dict[str, List[list]] = field(default_factory=dict)
     stats: Dict[str, object] = field(default_factory=dict)
     _graph: Optional[ProjectGraph] = None
 
     # ------------------------------------------------------------ build
     @classmethod
-    def build(
-        cls,
-        graph: ProjectGraph,
-        module_hashes: Dict[str, str],
-        cached: Optional[Dict[str, List[list]]] = None,
-    ) -> "SummaryIndex":
+    def build(cls, graph: ProjectGraph) -> "SummaryIndex":
         t0 = perf_counter()
         index = cls(_graph=graph)
         index._build_class_facts(graph)
-        components, component_of = graph.sccs()
-        comp_keys: List[str] = []
-        replayed = recomputed = 0
-        for comp_idx, comp in enumerate(components):
-            h = sha256()
-            for module, qualname in comp:
-                h.update(module.encode())
-                h.update(b"\x00")
-                h.update(qualname.encode())
-                h.update(b"\x00")
-                h.update(module_hashes.get(module, "").encode())
-                h.update(b"\x00")
-            callee_keys = sorted({
-                comp_keys[component_of[target]]
-                for member in comp
-                for target in graph.call_edges.get(member, ())
-                if target in component_of
-                and component_of[target] != comp_idx
-            })
-            h.update("\x00".join(callee_keys).encode())
-            key = h.hexdigest()
-            comp_keys.append(key)
-
-            hit = cached.get(key) if cached else None
-            if hit is not None and len(hit) == len(comp):
-                for module, qualname, doc in hit:
-                    index.functions[(module, qualname)] = (
-                        FunctionSummary.from_json(doc)
-                    )
-                replayed += len(comp)
-            else:
-                index._fixpoint(graph, comp)
-                recomputed += len(comp)
-            index.scc_payload[key] = [
-                [m, q, index.functions[(m, q)].to_json()] for m, q in comp
-            ]
+        components = graph.sccs()
+        for comp in components:
+            index._fixpoint(graph, comp)
         index.stats = {
             "sccs": len(components),
             "functions": len(graph.functions),
-            "replayed": replayed,
-            "recomputed": recomputed,
             "fixpoint_s": round(perf_counter() - t0, 4),
         }
         return index

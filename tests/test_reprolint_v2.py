@@ -5,8 +5,8 @@ project graph (symbols, imports, call edges, reachability), the
 unit-dataflow lattice behind R003 — including the regression fixture
 proving the v1 suffix-only engine misses what the dataflow engine
 flags — the project-scope rules R007–R009, the ``--fix`` autofixer and
-its idempotence, the content-hash incremental cache, and the SARIF
-reporter round-trip.
+its idempotence, cross-file findings, and the SARIF reporter
+round-trip.
 """
 
 import io
@@ -42,7 +42,7 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
-def lint_tree(tmp_path, files, select=None, baseline=None, **kwargs):
+def lint_tree(tmp_path, files, select=None, baseline=None):
     """Write ``files`` under a tmp project and lint the whole src tree."""
     write_tree(tmp_path, files)
     return run_lint(
@@ -50,7 +50,6 @@ def lint_tree(tmp_path, files, select=None, baseline=None, **kwargs):
         root=tmp_path,
         rules=get_rules(select),
         baseline=baseline,
-        **kwargs,
     )
 
 
@@ -651,9 +650,9 @@ class TestFixers:
 
 
 # ----------------------------------------------------------------------
-# incremental cache
+# cross-file findings
 # ----------------------------------------------------------------------
-_CACHE_FILES = {
+_TREE_FILES = {
     "src/repro/core/a.py": """
         from repro.core import b
 
@@ -671,65 +670,22 @@ _CACHE_FILES = {
 }
 
 
-class TestIncrementalCache:
-    def test_cold_then_fully_warm_replay(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cold = lint_tree(tmp_path, _CACHE_FILES, cache_path=cache)
-        assert cold.cache_mode == "cold"
-        warm = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(),
-            cache_path=cache,
-        )
-        assert warm.cache_mode == "full"
-        assert warm.files_replayed == warm.files_checked == 3
-        assert [f.to_json() for f in warm.findings] == [
-            f.to_json() for f in cold.findings
-        ]
-
-    def test_content_change_invalidates_only_that_file(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        lint_tree(tmp_path, _CACHE_FILES, cache_path=cache)
-        (tmp_path / "src/repro/core/c.py").write_text(
-            "import random\nimport random\n"
-        )
-        partial = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(),
-            cache_path=cache,
-        )
-        assert partial.cache_mode == "partial"
-        assert partial.files_replayed == 2  # a.py and b.py replayed
-        assert [
-            f.rule for f in partial.findings
-            if f.path == "src/repro/core/c.py"
-        ].count("R001") >= 2  # the new import was actually re-linted
-
-    def test_cross_file_change_recomputes_project_findings(self, tmp_path):
-        """a.py is byte-identical, but its R003 finding depends on the
-        *callee's* body in b.py — the cache must not replay it."""
-        cache = tmp_path / "cache.json"
-        first = lint_tree(
-            tmp_path, _CACHE_FILES, select=["R003"], cache_path=cache
-        )
+class TestCrossFileFindings:
+    def test_callee_body_decides_caller_finding(self, tmp_path):
+        """a.py is byte-identical across both runs, but its R003 finding
+        depends on the *callee's* body in b.py."""
+        first = lint_tree(tmp_path, _TREE_FILES, select=["R003"])
         assert rule_ids(first) == ["R003"]  # dollars + hours-returning call
+        assert first.findings[0].path == "src/repro/core/a.py"
         (tmp_path / "src/repro/core/b.py").write_text(textwrap.dedent("""
             def elapsed():
                 start_usd = 1.0
                 return start_usd + 2.0
         """))
         second = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"]),
-            cache_path=cache,
+            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"])
         )
         assert second.findings == []  # now dollars + dollars: clean
-
-    def test_rule_selection_changes_engine_fingerprint(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        lint_tree(tmp_path, _CACHE_FILES, select=["R001"], cache_path=cache)
-        other = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"]),
-            cache_path=cache,
-        )
-        assert other.cache_mode == "cold"  # different rules, no replay
 
 
 # ----------------------------------------------------------------------
@@ -741,7 +697,7 @@ class TestSarif:
             "R001", "src/repro/core/c.py", "import random",
             "kept for the fixture",
         )])
-        result = lint_tree(tmp_path, _CACHE_FILES, baseline=baseline)
+        result = lint_tree(tmp_path, _TREE_FILES, baseline=baseline)
         buf = io.StringIO()
         report_sarif(result, get_rules(), buf, root=tmp_path)
         doc = json.loads(buf.getvalue())
@@ -826,12 +782,10 @@ class TestPruneBaseline:
 # bench artifact
 # ----------------------------------------------------------------------
 class TestLintBench:
-    def test_bench_lint_records_warm_speedup(self):
+    def test_bench_lint_records_clean_cold_run(self):
         doc = json.loads((REPO_ROOT / "BENCH_lint.json").read_text())
         assert doc["suite"] == "lint"
         engine = doc["metrics"]["engine"]
-        assert engine["speedup"] >= 3.0, (
-            "warm cache replay must be at least 3x faster than a cold "
-            f"parse; recorded {engine['speedup']}x"
-        )
-        assert doc["primary"]["name"] == "engine.warm_s"
+        assert engine["findings"] == 0
+        assert engine["cold_s"] > 0
+        assert doc["primary"]["name"] == "engine.cold_s"

@@ -3,21 +3,17 @@
 Covers the escape analysis (boundary sites, worker-reachable closure,
 clearer sanctions), the four new rules R010–R013 with positive and
 negative fixtures, the container-element dataflow extension feeding
-R003/R012, the git-aware ``--changed`` CLI mode, the enriched SARIF
-descriptors, and — most importantly — meta-tests that mutate copies of
-the *real* ``repro.execution`` modules and assert each rule fires on
-the exact broken line: the linter guards the code, so the tests guard
-the linter against the code drifting out from under it.
+R003/R012, the enriched SARIF descriptors, and — most importantly —
+meta-tests that mutate copies of the *real* ``repro.execution`` modules
+and assert each rule fires on the exact broken line: the linter guards
+the code, so the tests guard the linter against the code drifting out
+from under it.
 """
 
 import json
-import subprocess
-import sys
 import textwrap
 from io import StringIO
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import get_rules, run_lint
 from repro.analysis.reporters import report_sarif
@@ -26,7 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EXECUTION = REPO_ROOT / "src" / "repro" / "execution"
 
 
-def lint_project(tmp_path, files, select=None, cache_path=None):
+def lint_project(tmp_path, files, select=None):
     """Write every ``relpath -> source`` pair and lint them together."""
     paths = []
     for rel, text in files.items():
@@ -34,9 +30,7 @@ def lint_project(tmp_path, files, select=None, cache_path=None):
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text))
         paths.append(p)
-    return run_lint(
-        paths, root=tmp_path, rules=get_rules(select), cache_path=cache_path
-    )
+    return run_lint(paths, root=tmp_path, rules=get_rules(select))
 
 
 def rule_ids(result):
@@ -591,98 +585,6 @@ class TestContainerDataflow:
 
 
 # ----------------------------------------------------------------------
-# --changed CLI mode
-# ----------------------------------------------------------------------
-class TestChangedMode:
-    def _git(self, cwd, *argv):
-        subprocess.run(
-            ["git", "-C", str(cwd), *argv],
-            check=True, capture_output=True,
-        )
-
-    def _run_cli(self, cwd, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *args],
-            cwd=cwd, capture_output=True, text=True,
-            env={
-                "PYTHONPATH": str(REPO_ROOT / "src"),
-                "PATH": "/usr/bin:/bin:/usr/local/bin",
-            },
-        )
-
-    @pytest.fixture
-    def repo(self, tmp_path):
-        clean = "def span_hours(x_hours):\n    return x_hours\n"
-        for rel in ("src/repro/core/a.py", "src/repro/core/b.py"):
-            p = tmp_path / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_text(clean)
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(
-            tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-            "commit", "-qm", "seed",
-        )
-        return tmp_path
-
-    def test_reports_only_changed_files(self, repo):
-        # v4 contract: the *whole* tree is analysed (files_checked spans
-        # it) but only the changed files' findings are reported.
-        (repo / "src/repro/core/b.py").write_text("import random\n")
-        proc = self._run_cli(
-            repo, "src", "--root", str(repo), "--changed", "HEAD",
-            "--format", "json",
-        )
-        payload = json.loads(proc.stdout)
-        assert payload["files_checked"] == 2
-        assert [f["rule"] for f in payload["findings"]] == ["R001"]
-        assert payload["findings"][0]["path"] == "src/repro/core/b.py"
-        assert proc.returncode == 1
-
-    def test_untracked_files_are_included(self, repo):
-        (repo / "src/repro/core/new.py").write_text("import random\n")
-        proc = self._run_cli(
-            repo, "src", "--root", str(repo), "--changed", "HEAD",
-            "--format", "json",
-        )
-        payload = json.loads(proc.stdout)
-        assert payload["files_checked"] == 3
-        assert [f["rule"] for f in payload["findings"]] == ["R001"]
-        assert payload["findings"][0]["path"] == "src/repro/core/new.py"
-
-    def test_nothing_changed_short_circuits(self, repo):
-        proc = self._run_cli(
-            repo, "src", "--root", str(repo), "--changed", "HEAD",
-            "--format", "json",
-        )
-        assert proc.returncode == 0
-        assert "no python files changed" in proc.stdout
-
-    def test_changed_never_writes_the_cache(self, repo):
-        (repo / "src/repro/core/b.py").write_text("import random\n")
-        self._run_cli(
-            repo, "src", "--root", str(repo), "--changed", "HEAD",
-            "--cache",
-        )
-        assert not (repo / ".reprolint_cache.json").exists()
-
-    def test_changed_replays_from_a_warm_cache(self, repo):
-        # A whole-tree run warms the cache; --changed may read it.
-        self._run_cli(repo, "src", "--root", str(repo), "--cache")
-        cache = repo / ".reprolint_cache.json"
-        assert cache.exists()
-        before = cache.read_text()
-        (repo / "src/repro/core/b.py").write_text("import random\n")
-        proc = self._run_cli(
-            repo, "src", "--root", str(repo), "--changed", "HEAD",
-            "--cache", "--format", "json",
-        )
-        payload = json.loads(proc.stdout)
-        assert [f["rule"] for f in payload["findings"]] == ["R001"]
-        assert cache.read_text() == before  # replayed, never rewritten
-
-
-# ----------------------------------------------------------------------
 # SARIF descriptor metadata
 # ----------------------------------------------------------------------
 class TestSarifMetadata:
@@ -710,33 +612,6 @@ class TestSarifMetadata:
             )
         results = payload["runs"][0]["results"]
         assert any(r["ruleId"] == "R001" for r in results)
-
-
-# ----------------------------------------------------------------------
-# Incremental cache with escape rules
-# ----------------------------------------------------------------------
-class TestEscapeCache:
-    def test_warm_replay_with_escape_rules(self, tmp_path):
-        files = {
-            "src/repro/execution/jobs.py": """
-                _SEEN = {}
-
-                def job(seed, cell):
-                    _SEEN[cell] = seed
-                    return seed
-                """,
-            "src/repro/execution/driver.py": DRIVER,
-        }
-        cache = tmp_path / "cache.json"
-        cold = lint_project(tmp_path, files, select=["R010"], cache_path=cache)
-        assert rule_ids(cold) == ["R010"]
-        paths = [tmp_path / rel for rel in files]
-        warm = run_lint(
-            paths, root=tmp_path, rules=get_rules(["R010"]), cache_path=cache
-        )
-        assert warm.cache_mode == "full"
-        assert rule_ids(warm) == ["R010"]
-        assert warm.findings[0].line == cold.findings[0].line
 
 
 # ----------------------------------------------------------------------
