@@ -41,8 +41,8 @@ from repro.cloud.instance_types import get_instance_type
 from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
 from repro.execution.montecarlo import (
-    _replay_chunk,
     _replay_chunk_shm,
+    _replay_chunk_task,
     replay_many,
     sample_start_times,
 )
@@ -107,12 +107,12 @@ def _percall_spawn_mc(problem, decision, history, starts):
             else:
                 futures = [
                     ex.submit(
-                        _replay_chunk, problem, decision, history,
+                        _replay_chunk_task, problem, decision, history,
                         chunk, None, "single-shot",
                     )
                     for chunk in chunks
                 ]
-            return [r for f in futures for r in f.result()]
+            return [r for f in futures for r in f.result()[0]]
     finally:
         if shm is not None:
             shm.close()

@@ -18,8 +18,10 @@ array operations, so the Python iteration count is the maximum number of
 relaunches of any sample, not the number of samples.
 
 The arithmetic mirrors the scalar replay operation-for-operation (same
-IEEE ops in the same order; each run window's bill is evaluated with the
-very same :func:`billed_spot_cost` call), so the results — including the
+IEEE ops in the same order; every run window of a group — or of one
+persistent relaunch round — is billed by one
+:func:`~.kernels.billed_cost_batch` call, elementwise bit-identical to
+:func:`repro.cloud.spot.billed_spot_cost`), so the results — including the
 per-group records, hourly billing, checkpoint-storage accounting and the
 cost ledger — are bit-identical to a sequential loop of
 ``replay_decision`` calls.  :func:`replay_window_batch` exposes the same
@@ -29,7 +31,7 @@ adaptive executor.  See DESIGN.md §8 for the kernel-layer contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,7 @@ from ..core.problem import Decision, Problem
 from ..errors import ConfigurationError, TraceError
 from ..market.history import SpotPriceHistory
 from .kernels import (
-    billed_cost_fast,
+    billed_cost_batch,
     checkpoints_completed_arr,
     progress_after_wall_arr,
     total_wall_arr,
@@ -73,8 +75,7 @@ class _GroupCtx:
     interval: float
     work: float
     eff_interval: float
-    need_wall: float  # failure-free wall time for the full work
-    done_wall: float
+    done_wall: float  # failure-free wall time for the full work
     k_done: int  # checkpoints of a completed run
     trace: object
     tables: object  # kernels.TraceBidTables
@@ -89,7 +90,6 @@ def _group_ctx(spec, gd, trace, cache: bool = True) -> _GroupCtx:
         interval=gd.interval,
         work=work,
         eff_interval=eff,
-        need_wall=total_wall(work, eff, spec.checkpoint_overhead),
         done_wall=total_wall(work, eff, spec.checkpoint_overhead),
         k_done=checkpoints_completed(work, work, eff),
         trace=trace,
@@ -133,7 +133,6 @@ def _run_group_batch(
     if work is None:
         work_a = ctx.work
         eff = ctx.eff_interval
-        need_wall = ctx.need_wall
         done_wall = ctx.done_wall
         k_done: object = ctx.k_done
     else:
@@ -142,7 +141,6 @@ def _run_group_batch(
             raise ConfigurationError("batched windows need work > 0 everywhere")
         eff = np.minimum(ctx.interval, work_a)
         done_wall = total_wall_arr(work_a, eff, spec.checkpoint_overhead)
-        need_wall = done_wall
         k_done = checkpoints_completed_arr(work_a, work_a, eff)
 
     k = np.searchsorted(times, t0, side="right") - 1
@@ -157,7 +155,7 @@ def _run_group_batch(
     # start so the arithmetic below stays finite (their outputs are
     # overwritten wholesale at the end).
     launch = np.where(launched, launch, t0)
-    horizon = np.minimum(t1, launch + need_wall)
+    horizon = np.minimum(t1, launch + done_wall)
     terminated = death < horizon
     end = np.where(terminated, death, horizon)
     wall = np.maximum(end - launch, 0.0)
@@ -185,15 +183,11 @@ def _run_group_batch(
     n_ckpt = np.where(launched, n_ckpt, 0)
 
     cost = np.zeros(t0.size)
-    bill_end = np.minimum(end, ctx.trace.end_time)
-    for i in np.flatnonzero(launched & (end > launch)):
-        cost[i] = (
-            billed_cost_fast(
-                ctx.trace, float(launch[i]), float(bill_end[i]),
-                bool(terminated[i]), billing,
-            )
-            * spec.n_instances
-        )
+    run = np.flatnonzero(launched & (end > launch))
+    cost[run] = billed_cost_batch(
+        ctx.trace, launch[run], np.minimum(end[run], ctx.trace.end_time),
+        terminated[run], billing,
+    ) * spec.n_instances
     return _GroupBatch(
         launched=launched, launch=launch, end=end, terminated=terminated,
         completed=completed, productive=productive, saved=saved,
@@ -217,8 +211,8 @@ def _run_group_persistent_batch(
     operations.  Samples leave the active set as they finish, so the
     Python-level iteration count is ``max_i rounds(i)``, typically a
     handful.  Per-round state updates replicate the scalar ordering
-    exactly; spot bills accrue through the same per-round
-    ``billed_spot_cost`` calls in the same order per sample.
+    exactly; each round's spot bills come from one
+    ``billed_cost_batch`` call and accrue in round order per sample.
     """
     tb = ctx.tables
     times = tb.times
@@ -291,15 +285,11 @@ def _run_group_persistent_batch(
         productive, newly_saved, n_ckpt = progress_after_wall_arr(
             avail, remaining, eff_r, O, done_wall, k_done
         )
-        bill_end = np.minimum(run_end, trace.end_time)
-        for b in np.flatnonzero(run_end > lj):
-            cost[j[b]] += (
-                billed_cost_fast(
-                    trace, float(lj[b]), float(bill_end[b]), bool(died[b]),
-                    billing,
-                )
-                * spec.n_instances
-            )
+        b = np.flatnonzero(run_end > lj)
+        cost[j[b]] += billed_cost_batch(
+            trace, lj[b], np.minimum(run_end[b], trace.end_time), died[b],
+            billing,
+        ) * spec.n_instances
         productive_tot[j] += productive
         ckpts_tot[j] += n_ckpt
         comp = productive >= remaining - 1e-9
@@ -456,11 +446,8 @@ def replay_window_batch(
                 work=None if works is None else works[g][idx],
                 billing=billing,
             )
-            for name in (
-                "launched", "launch", "end", "terminated", "completed",
-                "productive", "saved", "n_ckpt", "cost",
-            ):
-                getattr(runs[g], name)[idx] = getattr(sub, name)
+            for f in fields(_GroupBatch):
+                getattr(runs[g], f.name)[idx] = getattr(sub, f.name)
 
     outcomes = []
     for i in range(t0.size):
@@ -521,9 +508,7 @@ def replay_batch(
             f"unknown semantics {semantics!r}; known: {SEMANTICS}"
         )
     starts = np.asarray(starts, dtype=float)
-    metrics = obs.get_metrics()
-    metrics.inc("replay.batch_runs")
-    metrics.inc("replay.batch_starts", starts.size)
+    obs.get_metrics().inc("replay.batch_starts", starts.size)
     ondemand = problem.ondemand_options[decision.ondemand_index]
     if not decision.groups:
         out = []
@@ -577,23 +562,11 @@ def replay_batch(
         ledger = CostLedger()
         for rec in outcome.records:
             ledger.add("spot", f"{rec.key} bid=${rec.bid:.4f}", rec.spot_cost)
+        cost = outcome.cost
         if outcome.completed:
-            storage = 0.0
-            if account_storage:
-                storage = checkpoint_storage_cost(
-                    problem, decision, outcome.records, outcome.completion_time
-                )
-                if storage > 0:
-                    ledger.add("storage", "checkpoint images", storage)
-            result = RunResult(
-                start_time=t0_i,
-                cost=outcome.cost + storage,
-                makespan=outcome.completion_time - t0_i,
-                completed_by=outcome.completed_key,
-                ondemand_hours=0.0,
-                group_records=outcome.records,
-                ledger=ledger,
-            )
+            completed_by, od_hours = outcome.completed_key, 0.0
+            finish = outcome.completion_time
+            makespan = finish - t0_i
         else:
             # On-demand recovery from the best checkpoint (Formula 7).
             min_ratio = 1.0
@@ -609,29 +582,32 @@ def replay_batch(
                 if outcome.all_dead_at is not None
                 else float(t1[i])
             )
-            od_hours = min_ratio * ondemand.exec_time
+            completed_by, od_hours = "ondemand", min_ratio * ondemand.exec_time
             od_cost = od_hours * ondemand.fleet_rate
             ledger.add(
                 "ondemand",
                 f"recovery of {min_ratio:.2%} on {ondemand.itype.name}",
                 od_cost,
             )
-            storage = 0.0
-            if account_storage:
-                storage = checkpoint_storage_cost(
-                    problem, decision, outcome.records, od_start + od_hours
-                )
-                if storage > 0:
-                    ledger.add("storage", "checkpoint images", storage)
-            result = RunResult(
-                start_time=t0_i,
-                cost=outcome.cost + od_cost + storage,
-                makespan=(od_start - t0_i) + od_hours,
-                completed_by="ondemand",
-                ondemand_hours=od_hours,
-                group_records=outcome.records,
-                ledger=ledger,
+            cost = cost + od_cost
+            finish = od_start + od_hours
+            makespan = (od_start - t0_i) + od_hours
+        storage = 0.0
+        if account_storage:
+            storage = checkpoint_storage_cost(
+                problem, decision, outcome.records, finish
             )
+            if storage > 0:
+                ledger.add("storage", "checkpoint images", storage)
+        result = RunResult(
+            start_time=t0_i,
+            cost=cost + storage,
+            makespan=makespan,
+            completed_by=completed_by,
+            ondemand_hours=od_hours,
+            group_records=outcome.records,
+            ledger=ledger,
+        )
         out.append(
             observe_result(
                 result, problem, decision, history, billing, semantics,

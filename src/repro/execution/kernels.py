@@ -21,10 +21,17 @@ here:
   :func:`~repro.core.ckpt_math.total_wall` and
   :func:`~repro.core.ckpt_math.progress_after_wall` with the identical
   branch structure and float operations, so batched results are
-  bit-identical to the scalar loop they replace.  That bit-identity is
-  the hard contract of the whole kernel layer (DESIGN.md §8): same IEEE
-  ops in the same order, verified by the parity tests and the
-  :mod:`repro.obs` audit layer.
+  bit-identical to the scalar loop they replace.
+
+* **Batched spot billing** — :func:`billed_cost_batch` bills every run
+  window of a replay batch (or of one persistent relaunch round) in one
+  call: hourly policies level by level over the hour index, continuous
+  billing with the window bounds resolved at once and the scalar's
+  per-window ``np.dot`` kept.
+
+Bit-identity is the hard contract of the whole kernel layer (DESIGN.md
+§8): same IEEE ops in the same order, verified by the parity tests and
+the :mod:`repro.obs` audit layer.
 """
 
 from __future__ import annotations
@@ -43,8 +50,7 @@ from ..errors import TraceError
 #: tests/test_batch_parity.py.
 KERNEL_ORACLES = {
     "trace_tables": "repro.cloud.spot.first_at_or_below",
-    "integrate_price_fast": "repro.cloud.spot.integrate_price",
-    "billed_cost_fast": "repro.cloud.spot.billed_spot_cost",
+    "billed_cost_batch": "repro.cloud.spot.billed_spot_cost",
     "checkpoints_completed_arr": "repro.core.ckpt_math.checkpoints_completed",
     "total_wall_arr": "repro.core.ckpt_math.total_wall",
     "progress_after_wall_arr": "repro.core.ckpt_math.progress_after_wall",
@@ -216,51 +222,71 @@ def trace_tables(trace, bid: float, cache: bool = True) -> TraceBidTables:
 
 
 # ----------------------------------------------------------------------
-# Price integration (bit-identical to cloud.spot.integrate_price)
+# Spot billing (bit-identical to cloud.spot.billed_spot_cost)
 # ----------------------------------------------------------------------
 
-def integrate_price_fast(trace, t0: float, t1: float) -> float:
-    """:func:`repro.cloud.spot.integrate_price` without the slice object.
+def billed_cost_batch(trace, launch, end, interrupted, policy) -> np.ndarray:
+    """Elementwise :func:`repro.cloud.spot.billed_spot_cost` over arrays
+    of run windows ``[launch[i], end[i])`` with ``interrupted[i]``.
 
-    ``integrate_price`` builds a validated :class:`SpotPriceTrace` for
-    the window and dots its prices with its segment durations; the
-    construction (list conversion, monotonicity / finiteness checks)
-    dominates the batched kernels' billing loops.  This computes the
-    same ``np.dot`` over the same float64 values — the window's segment
-    starts with ``times[0]`` replaced by ``t0`` and its ends terminated
-    by ``t1`` — so the result is bitwise equal.
+    Hourly policies walk the hour index ``k`` level by level, like the
+    persistent relaunch rounds: each level prices, with one
+    ``searchsorted``, every element that still owes hour ``k`` (its
+    whole hours, then the partial hour unless refunded), so each
+    element's ``price * g`` terms are added in the scalar's order.
+    Continuous billing resolves every window's segment bounds at once
+    and keeps the scalar's per-window ``np.dot`` over the same float64
+    values: a batched reduction would round differently.  Raises
+    :class:`TraceError` for the inputs the scalar rejects.
     """
-    if t1 < t0:
-        raise TraceError(f"integration bounds reversed: [{t0}, {t1}]")
-    if t0 == t1:
-        return 0.0
+    launch = np.asarray(launch, dtype=float)
+    end = np.asarray(end, dtype=float)
+    if np.any(end < launch):
+        i = int(np.flatnonzero(end < launch)[0])
+        raise TraceError(f"billing bounds reversed: [{launch[i]}, {end[i]}]")
+    cost = np.zeros(launch.size)
     times = trace.times
-    if not (times[0] <= t0 and t1 <= trace.end_time):
-        raise TraceError(
-            f"slice [{t0}, {t1}) outside window "
-            f"[{trace.start_time}, {trace.end_time})"
-        )
-    lo = int(np.searchsorted(times, t0, side="right") - 1)
-    hi = int(np.searchsorted(times, t1, side="left"))
-    starts = times[lo:hi].copy()
-    starts[0] = t0
-    ends = np.append(times[lo + 1 : hi], t1)
-    return float(np.dot(trace.prices[lo:hi], ends - starts))
-
-
-def billed_cost_fast(trace, launch: float, end: float, interrupted: bool, policy) -> float:
-    """:func:`repro.cloud.spot.billed_spot_cost`, fast continuous path.
-
-    Continuous billing (granularity 0) delegates to
-    :func:`integrate_price_fast`; any hourly policy falls back to the
-    scalar ``billed_spot_cost`` (its per-hour price lookups are already
-    the exact semantics and are rare in the hot Monte-Carlo loops).
-    """
-    if getattr(policy, "is_continuous", False):
-        return integrate_price_fast(trace, launch, end)
-    from ..cloud.spot import billed_spot_cost
-
-    return billed_spot_cost(trace, launch, end, interrupted, policy)
+    g = getattr(policy, "granularity_hours", 0.0)
+    if not g:  # granularity 0 = continuous billing (BillingPolicy.is_continuous)
+        run = np.flatnonzero(end > launch)
+        t0, t1 = launch[run], end[run]
+        if run.size and not (times[0] <= t0.min() and t1.max() <= trace.end_time):
+            raise TraceError(
+                f"slice [{t0.min()}, {t1.max()}) outside window "
+                f"[{trace.start_time}, {trace.end_time})"
+            )
+        lo = np.searchsorted(times, t0, side="right") - 1
+        hi = np.searchsorted(times, t1, side="left")
+        # Window breakpoints: the segment edges over [lo, hi] with t0, t1
+        # cut in; their differences are integrate_price's durations.
+        edges = np.append(times, trace.end_time)
+        for i, a, b, s, e in zip(run, lo.tolist(), hi.tolist(), t0, t1):
+            w = edges[a : b + 1].copy()
+            w[0], w[-1] = s, e
+            cost[i] = float(np.dot(trace.prices[a:b], w[1:] - w[:-1]))
+        return cost
+    duration = end - launch
+    n_full = np.floor(duration / g + 1e-12)
+    refund = getattr(policy, "refund_interrupted_hour", False)
+    free = np.asarray(interrupted, dtype=bool) & refund
+    owe_partial = (duration - n_full * g > 1e-12) & ~free
+    n_hours = n_full + owe_partial
+    idx = np.flatnonzero(n_hours > 0)
+    k = 0
+    while idx.size:
+        # A lookup past the trace end lands in the last segment, as the
+        # scalar's clamp to nextafter(end_time, -inf) does.
+        at = launch[idx] + k * g
+        if not at.min() >= times[0]:  # price_at's window check (NaN too)
+            raise TraceError(
+                f"t={at.min()} outside trace window "
+                f"[{trace.start_time}, {trace.end_time})"
+            )
+        seg = np.searchsorted(times, at, side="right") - 1
+        cost[idx] += trace.prices[seg] * g
+        k += 1
+        idx = idx[n_hours[idx] > k]
+    return cost
 
 
 # ----------------------------------------------------------------------

@@ -117,6 +117,28 @@ def _replay_chunk(
     ]
 
 
+def _replay_chunk_task(
+    problem: Problem,
+    decision: Decision,
+    history: SpotPriceHistory,
+    starts: np.ndarray,
+    horizon: Optional[float],
+    semantics: str,
+    billing: BillingPolicy = CONTINUOUS,
+    account_storage: bool = False,
+) -> tuple[list[RunResult], dict]:
+    """Worker entry point for one chunk: :func:`_replay_chunk` on a
+    freshly reset metrics registry, whose snapshot rides home with the
+    results so the parent folds the chunk's replay counters in (as
+    ``run_backtest`` does per cell)."""
+    obs.reset_metrics()
+    results = _replay_chunk(
+        problem, decision, history, starts, horizon, semantics, billing,
+        account_storage,
+    )
+    return results, obs.get_metrics().snapshot()
+
+
 def _replay_chunk_shm(
     problem: Problem,
     decision: Decision,
@@ -126,14 +148,27 @@ def _replay_chunk_shm(
     semantics: str,
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> list[RunResult]:
+) -> tuple[list[RunResult], dict]:
     """Worker entry point for the shared-memory path: attach the pooled
     traces (once per worker — the handle is tiny, the attach is cached)
-    and replay exactly like :func:`_replay_chunk`."""
-    return _replay_chunk(
+    and replay exactly like :func:`_replay_chunk_task`."""
+    return _replay_chunk_task(
         problem, decision, attach_history(handle), starts, horizon,
         semantics, billing, account_storage,
     )
+
+
+def _gather_chunks(futures) -> list[RunResult]:
+    """Chunk results in submission (= start) order; the workers'
+    metrics merge only once every chunk has succeeded, so a gather that
+    fails over to the pickling path counts nothing twice."""
+    gathered = [future.result() for future in futures]
+    metrics = obs.get_metrics()
+    results: list[RunResult] = []
+    for chunk_results, snapshot in gathered:
+        metrics.merge_snapshot(snapshot)
+        results.extend(chunk_results)
+    return results
 
 
 def resolve_jobs(jobs: Optional[int], n_starts: int) -> int:
@@ -176,6 +211,10 @@ def _replay_starts(
     Results are byte-identical on every path (same arrays, same replay
     code) and each degradation is a counted metric, never an error.
     """
+    if decision.groups:
+        # One batched replay per evaluation, however many chunks carry
+        # it; the chunks' ``replay.batch_starts`` come home with them.
+        obs.get_metrics().inc("replay.batch_runs")
     n_jobs = resolve_jobs(jobs, int(starts.size))
     if n_jobs > 1:
         from .pool import WorkerPool
@@ -202,10 +241,7 @@ def _replay_starts(
                     )
                     for chunk in chunks
                 ]
-                results: list[RunResult] = []
-                for future in futures:  # submission order == start order
-                    results.extend(future.result())
-                return results
+                return _gather_chunks(futures)
             except OSError:
                 # A worker lost the segment between the parent's probe
                 # and its own attach; the replay itself is stateless,
@@ -213,15 +249,12 @@ def _replay_starts(
                 obs.get_metrics().inc("mc.shm_attach_failed")
         futures = [
             pool.submit(
-                _replay_chunk, problem, decision, history, chunk,
+                _replay_chunk_task, problem, decision, history, chunk,
                 horizon, semantics, billing, account_storage,
             )
             for chunk in chunks
         ]
-        results = []
-        for future in futures:  # submission order == start order
-            results.extend(future.result())
-        return results
+        return _gather_chunks(futures)
     return _replay_chunk(
         problem, decision, history, starts, horizon, semantics, billing,
         account_storage,

@@ -8,10 +8,11 @@ combos covered, cache hits — cheap enough to be always on: one dict
 increment per *call*, never per inner-loop element, and never anything
 that feeds back into the numeric outputs.
 
-Worker processes keep their own registries; the library never merges
-them back automatically.  Callers that want fleet-wide numbers (the
-experiments runner with ``--jobs``) ship a :meth:`Metrics.snapshot`
-home with each result and fold it in with :meth:`Metrics.merge_snapshot`.
+Worker processes keep their own registries; nothing merges them back
+automatically.  Every pool dispatcher (the experiments runner with
+``--jobs``, ``run_backtest`` and the Monte-Carlo fan-out) ships a
+:meth:`Metrics.snapshot` home with each result and folds it in with
+:meth:`Metrics.merge_snapshot`.
 Metrics are observability, not accounting; the cost ledgers (which *are*
 accounting) travel inside the results themselves.
 """

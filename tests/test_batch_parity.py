@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloud.billing import CONTINUOUS, HOURLY
+from repro.cloud.billing import CONTINUOUS, HOURLY, BillingPolicy
 from repro.cloud.instance_types import get_instance_type
 from repro.core.bid_search import log_bid_candidates
 from repro.core.cost_model import GroupOutcome
@@ -32,6 +32,7 @@ from repro.core.interval import (
 )
 from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
+from repro.errors import TraceError
 from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.batch_replay import replay_batch, replay_window_batch
 from repro.execution.kernels import table_cache_size
@@ -49,6 +50,12 @@ from repro.units import BYTES_PER_GB
 from tests.conftest import make_group
 
 SEEDS = (3, 17, 91)
+BILLINGS = (
+    CONTINUOUS,
+    HOURLY,
+    BillingPolicy(granularity_hours=1.0, refund_interrupted_hour=False),
+)
+BILLING_IDS = ("continuous", "hourly", "hourly-no-refund")
 
 _SPIKY = SpotMarketParams(
     base_price=0.05,
@@ -309,36 +316,87 @@ class TestKernelOracleParity:
             _SPIKY, np.random.default_rng(seed)
         ).generate(duration)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_integrate_price_fast_bitwise_equal(self, seed):
-        from repro.cloud.spot import integrate_price
-        from repro.execution.kernels import integrate_price_fast
+    def _assert_bills_match(self, trace, launch, end, interrupted, policy):
+        from repro.cloud.spot import billed_spot_cost
+        from repro.execution.kernels import billed_cost_batch
 
+        launch = np.asarray(launch, dtype=float)
+        end = np.asarray(end, dtype=float)
+        interrupted = np.asarray(interrupted, dtype=bool)
+        got = billed_cost_batch(trace, launch, end, interrupted, policy)
+        assert got.shape == launch.shape
+        for i in range(launch.size):
+            want = billed_spot_cost(
+                trace, float(launch[i]), float(end[i]), bool(interrupted[i]),
+                policy,
+            )
+            assert got[i] == want, (i, launch[i], end[i], interrupted[i])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_billed_cost_batch_continuous_bitwise_equal(self, seed):
         trace = self._trace(seed)
         r = np.random.default_rng(seed + 1)
-        for _ in range(50):
-            t0, t1 = np.sort(r.uniform(0.0, trace.end_time, 2))
-            assert integrate_price_fast(trace, t0, t1) == integrate_price(
-                trace, t0, t1
-            )
-        assert integrate_price_fast(trace, 3.0, 3.0) == 0.0
+        bounds = np.sort(r.uniform(0.0, trace.end_time, (50, 2)), axis=1)
+        launch = np.append(bounds[:, 0], 3.0)  # plus one zero-length run
+        end = np.append(bounds[:, 1], 3.0)
+        self._assert_bills_match(
+            trace, launch, end, np.zeros(launch.size, bool), CONTINUOUS
+        )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("policy", [CONTINUOUS, HOURLY])
-    @pytest.mark.parametrize("interrupted", [False, True])
-    def test_billed_cost_fast_matches_billed_spot_cost(
-        self, seed, policy, interrupted
-    ):
-        from repro.cloud.spot import billed_spot_cost
-        from repro.execution.kernels import billed_cost_fast
-
+    @pytest.mark.parametrize("policy", BILLINGS, ids=BILLING_IDS)
+    def test_billed_cost_batch_matches_billed_spot_cost(self, seed, policy):
         trace = self._trace(seed)
         r = np.random.default_rng(seed + 2)
-        for _ in range(25):
-            launch, end = np.sort(r.uniform(0.0, trace.end_time, 2))
-            assert billed_cost_fast(
-                trace, launch, end, interrupted, policy
-            ) == billed_spot_cost(trace, launch, end, interrupted, policy)
+        launch = r.uniform(0.0, trace.end_time, 60)
+        end = launch + r.uniform(0.0, 1.0, 60) * (trace.end_time - launch)
+        interrupted = r.uniform(size=60) < 0.5
+        self._assert_bills_match(trace, launch, end, interrupted, policy)
+
+    @pytest.mark.parametrize("policy", BILLINGS, ids=BILLING_IDS)
+    def test_billed_cost_batch_edge_cases(self, policy):
+        trace = self._trace(SEEDS[0])
+        seg, t_end = trace.times, trace.end_time
+        windows = [
+            (seg[5], seg[5] + 3.7),  # launch on a segment boundary
+            (seg[7] - 0.3, seg[12]),  # end on a segment boundary
+            (10.0, 13.0),  # launch on an hour boundary, whole hours
+            (10.0, 12.5),
+            (t_end - 2.5, t_end),  # bill up to the trace's last instant
+            (t_end - 2.0, t_end),
+            (7.3, 7.3),  # zero-length runs
+            (t_end, t_end),
+            (-1.0, -1.0),
+            (4.0, 6.0 + 5e-13),  # partial hour within 1e-12 of whole
+            (4.0, 7.0 - 5e-13),
+            (4.0, 6.0 + 2e-12),
+            (seg[3], seg[4]),  # exactly one segment
+        ]
+        if not policy.is_continuous:
+            # Hourly lookups past the trace end clamp to its last price.
+            windows.append((t_end + 0.5, t_end + 2.25))
+        launch, end = np.array(windows).T
+        for flags in (np.arange(launch.size) % 2 == 0,
+                      np.arange(launch.size) % 3 == 0):
+            self._assert_bills_match(trace, launch, end, flags, policy)
+
+    @pytest.mark.parametrize("policy", BILLINGS, ids=BILLING_IDS)
+    def test_billed_cost_batch_empty_and_invalid(self, policy):
+        from repro.cloud.spot import billed_spot_cost
+        from repro.execution.kernels import billed_cost_batch
+
+        trace = self._trace(SEEDS[0])
+        empty = np.zeros(0)
+        got = billed_cost_batch(trace, empty, empty, empty.astype(bool), policy)
+        assert got.shape == (0,)
+        for bad in ((5.0, 4.0), (-1.0, 3.0)):  # reversed; before the start
+            with pytest.raises(TraceError):
+                billed_spot_cost(trace, *bad, True, policy)
+            with pytest.raises(TraceError):
+                billed_cost_batch(
+                    trace, np.array([2.0, bad[0]]), np.array([4.5, bad[1]]),
+                    np.array([False, True]), policy,
+                )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_checkpoints_completed_arr_elementwise(self, seed):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cloud.billing import CONTINUOUS, HOURLY
 from repro.cloud.instance_types import get_instance_type
 from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.errors import ConfigurationError
@@ -22,6 +23,10 @@ from repro.execution.shm_pool import SharedTracePool, attach_history
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
 from tests.conftest import make_group
+
+
+#: Replay counters that must not depend on how the starts were chunked.
+_REPLAY_COUNTERS = ("replay.batch_runs", "replay.batch_starts")
 
 
 @pytest.fixture
@@ -90,6 +95,23 @@ class TestParallelByteIdentity:
             problem, d, h, 12, np.random.default_rng(7), jobs=jobs
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("billing", [CONTINUOUS, HOURLY])
+    def test_worker_metrics_merge_into_parent(self, spiky_problem, billing):
+        problem, h = spiky_problem
+        d = self._decision()
+        metrics = obs.get_metrics()
+        seen = {}
+        for jobs in (1, 2):
+            before = [metrics.get(n) for n in _REPLAY_COUNTERS]
+            results = replay_many(
+                problem, d, h, 12, np.random.default_rng(7), jobs=jobs,
+                billing=billing,
+            )
+            after = [metrics.get(n) for n in _REPLAY_COUNTERS]
+            seen[jobs] = (results, [b - a for a, b in zip(before, after)])
+        assert seen[1] == seen[2]
+        assert seen[2][1] == [1, 12]
 
     def test_pickling_fallback_matches_and_is_counted(
         self, spiky_problem, monkeypatch
