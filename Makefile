@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-fix audit bench bench-full experiments quick clean-pyc
+.PHONY: test lint lint-fix audit bench bench-full goldens experiments quick clean-pyc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,11 @@ bench:
 
 bench-full:
 	$(PYTHON) -m benchmarks.perf $(if $(FORCE),--force,)
+
+## Every perfbench workload's outputs, at both sizes and on every
+## held-out seed, byte for byte against perfbench/goldens.json.
+goldens:
+	python3 perfbench/run.py --check-goldens
 
 ## Remove byte-compiled caches.  A stale __pycache__ can shadow edited
 ## modules (and silently defeat the engine-fingerprint invalidation of

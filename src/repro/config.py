@@ -79,13 +79,15 @@ class SompiConfig:
         ``repro artifacts --evict`` / ``--clear`` manage it manually.
         Eviction only changes what is cached, never any result.
     grid_eval:
-        Evaluate each subset's (bid x interval) candidate grid with the
-        one-shot vectorized evaluator (:mod:`repro.core.grid_eval`)
-        instead of the scalar per-combo loop.  The two paths are
-        bit-identical by construction (the grid evaluator is a
-        KERNEL_ORACLES kernel with exact-parity tests against the
-        scalar oracle); this flag exists for A/B benchmarking and as a
-        fallback switch.
+        Build each group table (every bid's refined interval and
+        outcome), the per-market bid candidates and every subset's
+        pruning bound with the one-shot kernels of
+        :mod:`repro.core.grid_eval`, instead of the scalar per-bid loop
+        (``optimal_interval`` then ``GroupOutcome.build``) and the
+        per-subset bound.  The two paths are bit-identical by
+        construction (the kernels are KERNEL_ORACLES kernels with
+        exact-parity tests against the scalar oracles); this flag exists
+        for A/B benchmarking and as a fallback switch.
     audit:
         Assert the :mod:`repro.obs` conservation invariants on every
         result an executor built with this config produces (DESIGN.md

@@ -23,7 +23,8 @@ cross-validates the two on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class GroupOutcome:
     during productive step ``t``; ``pmf[n_steps]`` is the probability it
     completes.  ``productive``, ``wall`` and ``ratios`` are the
     corresponding outcome values, all indexed by ``t``.
+
+    ``ratio_marginal`` and ``wall_marginal`` are the sorted marginals of
+    ``ratios`` and ``wall`` (see :func:`sorted_marginal`), computed on
+    first use and kept with the outcome: they depend on the outcome
+    alone, so every :func:`evaluate` call and every survival-grid build
+    that touches this outcome shares one sort.  The outcome arrays must
+    not be mutated once a marginal has been read.
     """
 
     spec: CircleGroupSpec
@@ -118,6 +126,16 @@ class GroupOutcome:
             ratios=ratios,
         )
 
+    @cached_property
+    def ratio_marginal(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`sorted_marginal` of ``(ratios, pmf)``, cached."""
+        return sorted_marginal(self.ratios, self.pmf)
+
+    @cached_property
+    def wall_marginal(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`sorted_marginal` of ``(wall, pmf)``, cached."""
+        return sorted_marginal(self.wall, self.pmf)
+
     @property
     def completion_probability(self) -> float:
         return float(self.pmf[-1])
@@ -150,52 +168,79 @@ class Expectation:
 # ----------------------------------------------------------------------
 # Extreme-value helpers over independent discrete non-negative RVs
 # ----------------------------------------------------------------------
-def _survival_at(
-    values: np.ndarray, pmf: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """``P(Y >= g)`` for each grid point, for a discrete RV (values, pmf)."""
+def sorted_marginal(
+    values: np.ndarray, pmf: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted values, tail)`` of a discrete RV ``(values, pmf)``.
+
+    ``tail[k] = P(Y >= sorted[k])`` for ``k < size``, and one trailing
+    ``0.0`` so that a grid point above every value gathers a survival
+    of zero without a mask.
+    """
     order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ps = pmf[order]
-    tail = np.cumsum(ps[::-1])[::-1]  # tail[k] = P(Y >= vs[k])
-    idx = np.searchsorted(vs, grid, side="left")
-    out = np.zeros(grid.size)
-    inside = idx < vs.size
-    out[inside] = tail[idx[inside]]
-    return out
+    tail = np.cumsum(pmf[order][::-1])[::-1]
+    return values[order], np.concatenate([tail, [0.0]])
+
+
+def survival(
+    marginal: Tuple[np.ndarray, np.ndarray], grid: np.ndarray
+) -> np.ndarray:
+    """``P(Y >= g)`` for each grid point, from a :func:`sorted_marginal`."""
+    vs, tail = marginal
+    return tail[np.searchsorted(vs, grid, side="left")]
+
+
+def _value_grid(values_list: Sequence[np.ndarray]) -> np.ndarray:
+    """Positive distinct outcome values: the quadrature nodes."""
+    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
+    return grid[grid > 0]
+
+
+def _expected_min(grid: np.ndarray, marginals: Iterable[tuple]) -> float:
+    if grid.size == 0:
+        return 0.0
+    surv = np.ones(grid.size)
+    for marginal in marginals:
+        surv *= survival(marginal, grid)
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, surv))
+
+
+def _expected_max(grid: np.ndarray, marginals: Iterable[tuple]) -> float:
+    if grid.size == 0:
+        return 0.0
+    # P(max >= g) = 1 - prod_i (1 - P(Y_i >= g))
+    prod_below = np.ones(grid.size)
+    for marginal in marginals:
+        prod_below *= 1.0 - survival(marginal, grid)
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, 1.0 - prod_below))
+
+
+def _marginals(
+    values_list: Sequence[np.ndarray], pmf_list: Sequence[np.ndarray]
+) -> Iterator[tuple]:
+    """Lazy, so an empty grid sorts nothing."""
+    for values, pmf in zip(values_list, pmf_list):
+        yield sorted_marginal(np.asarray(values, float), np.asarray(pmf, float))
 
 
 def expected_min(
     values_list: Sequence[np.ndarray], pmf_list: Sequence[np.ndarray]
 ) -> float:
     """``E[min_i Y_i]`` for independent discrete non-negative RVs."""
-    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
-    grid = grid[grid > 0]
-    if grid.size == 0:
-        return 0.0
-    surv = np.ones(grid.size)
-    for values, pmf in zip(values_list, pmf_list):
-        surv *= _survival_at(np.asarray(values, float), np.asarray(pmf, float), grid)
-    deltas = np.diff(np.concatenate([[0.0], grid]))
-    return float(np.dot(deltas, surv))
+    return _expected_min(
+        _value_grid(values_list), _marginals(values_list, pmf_list)
+    )
 
 
 def expected_max(
     values_list: Sequence[np.ndarray], pmf_list: Sequence[np.ndarray]
 ) -> float:
     """``E[max_i Y_i]`` for independent discrete non-negative RVs."""
-    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
-    grid = grid[grid > 0]
-    if grid.size == 0:
-        return 0.0
-    # P(max >= g) = 1 - prod_i (1 - P(Y_i >= g))
-    prod_below = np.ones(grid.size)
-    for values, pmf in zip(values_list, pmf_list):
-        prod_below *= 1.0 - _survival_at(
-            np.asarray(values, float), np.asarray(pmf, float), grid
-        )
-    deltas = np.diff(np.concatenate([[0.0], grid]))
-    return float(np.dot(deltas, 1.0 - prod_below))
+    return _expected_max(
+        _value_grid(values_list), _marginals(values_list, pmf_list)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -204,15 +249,22 @@ def expected_max(
 def evaluate(
     outcomes: Sequence[GroupOutcome], ondemand: OnDemandOption
 ) -> Expectation:
-    """Exact expected cost/time via per-group marginals (fast path)."""
+    """Exact expected cost/time via per-group marginals (fast path).
+
+    Each outcome's sorted marginals are cached on the outcome, so a call
+    costs one ``searchsorted`` and one gather per group and statistic.
+    """
     if not outcomes:
         raise ConfigurationError("need at least one group outcome")
     spot_cost = sum(o.expected_spot_cost() for o in outcomes)
-    ratios = [o.ratios for o in outcomes]
-    walls = [o.wall for o in outcomes]
-    pmfs = [o.pmf for o in outcomes]
-    e_min_ratio = expected_min(ratios, pmfs)
-    e_max_wall = expected_max(walls, pmfs)
+    e_min_ratio = _expected_min(
+        _value_grid([o.ratios for o in outcomes]),
+        (o.ratio_marginal for o in outcomes),
+    )
+    e_max_wall = _expected_max(
+        _value_grid([o.wall for o in outcomes]),
+        (o.wall_marginal for o in outcomes),
+    )
     od_cost = e_min_ratio * ondemand.full_run_cost
     time = e_max_wall + e_min_ratio * ondemand.exec_time
     completion = 1.0 - float(

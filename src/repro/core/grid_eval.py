@@ -1,13 +1,15 @@
-"""One-shot candidate-grid kernels for the planner (DESIGN.md §10).
+"""One-shot candidate-grid kernels for the planner.
 
-The cold planning path used to spend most of its time in scalar Python
-loops over candidate grids: :func:`repro.core.interval.optimal_interval`
-builds one :class:`~repro.core.cost_model.GroupOutcome` per interval
-candidate (tens of array allocations and pmf validations each), the bid
-candidates are generated market by market, and every subset's pruning
-bound is re-derived from Python generator expressions.  This module
-evaluates each of those grids as **one** array program over the same
-float64 inputs.
+The planner's per-group tables (the paper's §4.2.2 dimension reduction:
+each group's checkpoint interval is ``phi(P)`` for every candidate bid) and
+its subset bounds are candidate grids.  The scalar reference walks them
+in Python: :func:`repro.core.interval.optimal_interval` builds one
+:class:`~repro.core.cost_model.GroupOutcome` per interval candidate per
+bid, and ``GroupOutcome.build`` then rebuilds the winner.  This module
+evaluates each grid as **one** array program over the same float64
+inputs: :func:`group_table_grid` builds a whole group table — every
+bid's interval candidates in one :func:`outcome_grid` — and
+:func:`subset_bounds` bounds every subset of a size at once.
 
 The hard contract is the kernel layer's (DESIGN.md §8): **bit identity**
 with the scalar code being replaced — same IEEE-754 operations applied
@@ -28,7 +30,10 @@ in the same order, elementwise.  Concretely:
 
 ``KERNEL_ORACLES`` declares the scalar reference of every public
 function (reprolint R004) and ``tests/test_batch_parity.py`` pins exact
-equality on representative and adversarial grids.  Everything here is a
+equality on representative and adversarial grids.  Validation runs once
+per call, not once per outcome: :func:`group_table_grid` checks every
+bid's pmf and :func:`outcome_grid` every interval and termination time,
+as ``GroupOutcome.from_pmf`` and ``ratio_array`` do.  Everything here is a
 pure function of its arguments: no caches, no config reads — gating by
 ``config.grid_eval`` happens at the call sites in :mod:`.two_level` and
 :mod:`.subset`.
@@ -43,9 +48,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import check_positive
+from .cost_model import GroupOutcome
 from .interval import _interval_candidates, young_interval
 from .problem import CircleGroupSpec, OnDemandOption
-from .ratio import _COMPLETE_ATOL
+from .ratio import _COMPLETE_ATOL, _validate
 
 #: Scalar reference for every public kernel (reprolint R004): the
 #: vectorized function must be bit-identical to the dotted scalar path,
@@ -53,7 +59,7 @@ from .ratio import _COMPLETE_ATOL
 KERNEL_ORACLES = {
     "bid_matrix_rows": "repro.core.bid_search.log_bid_candidates",
     "outcome_grid": "repro.core.cost_model.GroupOutcome.from_pmf",
-    "optimal_interval_grid": "repro.core.interval.optimal_interval",
+    "group_table_grid": "repro.core.interval.optimal_interval",
     "subset_bounds": "repro.core.two_level.TwoLevelOptimizer._subset_bound",
 }
 
@@ -112,8 +118,11 @@ def outcome_grid(
     if np.any(F <= 0):
         raise ConfigurationError("intervals must be > 0")
     T = spec.exec_time
+    _validate(T, float(F.min()), spec.recovery_overhead)
     productive = np.minimum(step_hours * np.arange(n_steps + 1), T)
     productive[n_steps] = T
+    if productive.min() < 0 or productive.max() > T + _COMPLETE_ATOL:
+        raise ConfigurationError("termination times outside [0, T]")
     col = F[:, None]
     # Checkpoints land at k*F strictly before completion; one exactly at
     # the finish line is never taken (from_pmf's k_max cap, elementwise).
@@ -133,46 +142,121 @@ def outcome_grid(
     return productive, wall, ratios
 
 
-def optimal_interval_grid(
+def group_table_grid(
     spec: CircleGroupSpec,
-    bid: float,
+    bids: Sequence[float],
     failure_model,
     ondemand: OnDemandOption,
     step_hours: float = 1.0,
     refine: bool = True,
-) -> float:
-    """``phi(P)`` with the refinement scan as one array program.
+    checkpointing: bool = True,
+) -> Tuple[np.ndarray, List[GroupOutcome], np.ndarray, np.ndarray, np.ndarray]:
+    """One group's whole planner table — ``phi(P)`` and the outcome of
+    every candidate bid — as one array program.
 
-    Drop-in replacement for :func:`repro.core.interval.optimal_interval`
-    (identical signature and return value): the candidate set, the
-    single-group objective and the sequential winner rule are the
-    scalar path's; only the per-candidate outcome tables are built in
-    one :func:`outcome_grid` call instead of one
-    ``GroupOutcome.from_pmf`` per candidate.  The per-candidate
-    expectations stay 1-D ``np.dot`` per row — the scalar path's exact
-    reduction — so the costs, and therefore the winning interval, are
-    bit-identical.
+    Returns ``(intervals, outcomes, e_spot, e_wall, e_ratio)``.  Entry
+    ``b`` is bit-identical to the scalar per-bid loop: the interval of
+    :func:`repro.core.interval.optimal_interval` (``T`` when
+    ``checkpointing`` is off), the ``GroupOutcome.build`` at that
+    interval, its ``expected_spot_cost()``, ``dot(pmf, wall)`` and
+    ``dot(pmf, ratios)``.
+
+    Every bid's interval candidates share **one** :func:`outcome_grid`.
+    Each bid's winner is picked by the scalar rule: per-row 1-D
+    ``np.dot``, strict ``cost < best - 1e-12``, first winner kept.  Its
+    row is copied out of the grid, not rebuilt, and its expectations
+    are the winner's own loop dots.  Without refinement, or when no
+    candidate's cost is finite, Young's interval is used, as in the
+    scalar path.  The pmf and interval checks of
+    ``GroupOutcome.from_pmf`` run once per call, over all bids.
     """
-    young = young_interval(
-        spec.checkpoint_overhead, failure_model.mttf_hours(bid), spec.exec_time
-    )
-    if not refine:
-        return young
-    candidates = _interval_candidates(spec, young, step_hours)
-    n = max(1, int(np.ceil(spec.exec_time / step_hours)))
-    pmf = failure_model.failure_pmf(bid, n)
-    price = failure_model.expected_price(bid)
-    _, wall, ratios = outcome_grid(spec, candidates, pmf.size - 1, step_hours)
-    full_run_cost = ondemand.full_run_cost
+    T = spec.exec_time
+    bid_list = np.asarray(bids, dtype=float).ravel().tolist()
+    nb = len(bid_list)
+    if nb == 0:
+        raise ConfigurationError("bids must be non-empty")
+    n = max(1, int(np.ceil(T / step_hours)))
+    pmfs = [
+        np.asarray(failure_model.failure_pmf(b, n), dtype=float)
+        for b in bid_list
+    ]
+    if any(p.shape != (n + 1,) for p in pmfs):
+        raise ConfigurationError("pmf must be 1-D with length n_steps + 1")
+    stacked = np.stack(pmfs)
+    if np.any(stacked < -1e-12) or np.any(
+        np.abs(stacked.sum(axis=1) - 1.0) > 1e-9
+    ):
+        raise ConfigurationError("pmf must be non-negative and sum to 1")
+    prices = [float(failure_model.expected_price(b)) for b in bid_list]
     n_instances = spec.n_instances
-    best_f, best_cost = young, math.inf
-    for c in range(candidates.size):
-        cost = price * n_instances * float(
-            np.dot(pmf, wall[c])
-        ) + full_run_cost * float(np.dot(pmf, ratios[c]))
-        if cost < best_cost - 1e-12:
-            best_cost, best_f = cost, float(candidates[c])
-    return best_f
+
+    if checkpointing:
+        young = [
+            young_interval(
+                spec.checkpoint_overhead, failure_model.mttf_hours(b), T
+            )
+            for b in bid_list
+        ]
+        intervals = np.array(young)
+    else:
+        intervals = np.full(nb, T)  # w/o-CK ablation: no checkpoints
+    e_wall = np.empty(nb)
+    e_ratio = np.empty(nb)
+    scored = np.zeros(nb, dtype=bool)
+    wall = ratios = None
+    if checkpointing and refine:
+        cands = [_interval_candidates(spec, y, step_hours) for y in young]
+        grid = np.concatenate(cands)
+        productive, cand_wall, cand_ratios = outcome_grid(
+            spec, grid, n, step_hours
+        )
+        full_run_cost = ondemand.full_run_cost
+        pick = np.zeros(nb, dtype=np.intp)
+        lo = 0
+        for b, c_b in enumerate(cands):
+            pmf = pmfs[b]
+            scale = prices[b] * n_instances
+            best_cost, best = math.inf, -1
+            for c in range(lo, lo + c_b.size):
+                w = float(np.dot(pmf, cand_wall[c]))
+                r = float(np.dot(pmf, cand_ratios[c]))
+                cost = scale * w + full_run_cost * r
+                if cost < best_cost - 1e-12:
+                    best_cost, best, best_w, best_r = cost, c, w, r
+            if best >= 0:
+                pick[b], e_wall[b], e_ratio[b] = best, best_w, best_r
+                scored[b] = True
+            lo += c_b.size
+        intervals[scored] = grid[pick[scored]]
+        wall, ratios = cand_wall[pick], cand_ratios[pick]
+    direct = np.flatnonzero(~scored)
+    if direct.size:
+        productive, d_wall, d_ratios = outcome_grid(
+            spec, intervals[direct], n, step_hours
+        )
+        if wall is None:
+            wall, ratios = d_wall, d_ratios
+        else:
+            wall[direct], ratios[direct] = d_wall, d_ratios
+        for b in direct:
+            e_wall[b] = float(np.dot(pmfs[b], wall[b]))
+            e_ratio[b] = float(np.dot(pmfs[b], ratios[b]))
+    e_spot = np.array(prices) * n_instances * e_wall
+    outcomes = [
+        GroupOutcome(
+            spec=spec,
+            bid=bid_list[b],
+            interval=float(intervals[b]),
+            step_hours=step_hours,
+            pmf=pmfs[b],
+            expected_price=prices[b],
+            productive=productive,
+            wall=wall[b],
+            ratios=ratios[b],
+        )
+        for b in range(nb)
+    ]
+    return intervals, outcomes, e_spot, e_wall, e_ratio
 
 
 def subset_bounds(

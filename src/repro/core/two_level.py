@@ -24,8 +24,12 @@ Performance layer (see DESIGN.md "Performance"): the per-group tables
 (bid candidates, refined intervals, outcome pmfs) depend only on
 ``(market, spec, ondemand cost, config)`` — not on the deadline — so
 they are shared across optimizer instances through a cache that lives
-with each group's :class:`FailureModel`.  Subset score vectors and exact
-re-evaluations are likewise memoised.
+with each group's :class:`FailureModel`.  A table that misses every
+tier is built by one :func:`repro.core.grid_eval.group_table_grid` call
+(the scalar per-bid loop stays behind ``config.grid_eval=False``), timed
+as ``plan.tables``.  Its survival rows and the exact re-evaluations read
+the sorted marginals each :class:`GroupOutcome` caches.  Subset score
+vectors and exact re-evaluations are likewise memoised.
 
 The subset search is bound-first.  ``optimize_subset`` accepts the
 traversal's incumbent (``prune_above``) and, before any grid product,
@@ -66,7 +70,7 @@ from ..market.failure import FailureModel
 from ..market.history import MarketKey
 from . import grid_eval
 from .bid_search import log_bid_candidates
-from .cost_model import Expectation, GroupOutcome, evaluate
+from .cost_model import Expectation, GroupOutcome, evaluate, survival
 from .interval import optimal_interval
 from .keys import hash_key
 from .problem import Decision, GroupDecision, OnDemandOption, Problem
@@ -191,10 +195,15 @@ def _entry_from_arrays(
         productive = arrays[prefix + "productive"]
         wall = arrays[prefix + "wall"]
         ratios = arrays[prefix + "ratios"]
+        e_spot = arrays[prefix + "e_spot"]
+        e_wall = arrays[prefix + "e_wall"]
+        e_ratio = arrays[prefix + "e_ratio"]
+        wall_max = arrays[prefix + "wall_max"]
         nb = int(bids.size)
         if not (
-            intervals.shape == (nb,)
-            and price.shape == (nb,)
+            intervals.shape == price.shape == (nb,)
+            and e_spot.shape == e_wall.shape == e_ratio.shape == (nb,)
+            and wall_max.shape == (1,)
             and pmf.ndim == 2
             and pmf.shape[0] == nb
             and pmf.shape == productive.shape == wall.shape == ratios.shape
@@ -219,10 +228,10 @@ def _entry_from_arrays(
             bids=bids,
             intervals=intervals,
             outcomes=outcomes,
-            e_spot=arrays[prefix + "e_spot"],
-            e_wall=arrays[prefix + "e_wall"],
-            e_ratio=arrays[prefix + "e_ratio"],
-            wall_max=float(arrays[prefix + "wall_max"][0]),
+            e_spot=e_spot,
+            e_wall=e_wall,
+            e_ratio=e_ratio,
+            wall_max=float(wall_max[0]),
         )
     except (KeyError, IndexError, ValueError):
         return None
@@ -321,18 +330,6 @@ class SubsetResult:
         )
 
 
-def _survival_rows(values: np.ndarray, pmf: np.ndarray, midpoints: np.ndarray) -> np.ndarray:
-    """``P(Y >= m)`` for each midpoint, one discrete RV."""
-    order = np.argsort(values, kind="stable")
-    vs, ps = values[order], pmf[order]
-    tail = np.cumsum(ps[::-1])[::-1]
-    idx = np.searchsorted(vs, midpoints, side="left")
-    out = np.zeros(midpoints.size)
-    inside = idx < vs.size
-    out[inside] = tail[idx[inside]]
-    return out
-
-
 class TwoLevelOptimizer:
     """Optimizes bids and intervals for subsets of circle groups."""
 
@@ -404,49 +401,49 @@ class TwoLevelOptimizer:
         self, fm: FailureModel, spec, token: str, bids: Optional[np.ndarray]
     ) -> _RawGroupEntry:
         """Compute one group's table from scratch (both cache tiers missed)."""
-        step = self.config.time_step_hours
+        cfg = self.config
+        step = cfg.time_step_hours
         if bids is None:
             bids = log_bid_candidates(
-                fm.max_price(), self.config.bid_levels,
-                floor_price=fm.min_price(),
+                fm.max_price(), cfg.bid_levels, floor_price=fm.min_price(),
             )
-        intervals = np.empty(bids.size)
-        outcomes: list[GroupOutcome] = []
-        wall_max = 0.0
-        for b, bid in enumerate(bids):
-            if not self.config.checkpointing:
-                interval = spec.exec_time  # w/o-CK ablation: no checkpoints
-            elif self.config.grid_eval:
-                interval = grid_eval.optimal_interval_grid(
-                    spec,
-                    float(bid),
-                    fm,
-                    self.ondemand,
-                    step_hours=step,
-                    refine=self.config.interval_refine,
+        if cfg.grid_eval:
+            intervals, outcomes, e_spot, e_wall, e_ratio = (
+                grid_eval.group_table_grid(
+                    spec, bids, fm, self.ondemand, step,
+                    refine=cfg.interval_refine,
+                    checkpointing=cfg.checkpointing,
                 )
-            else:
-                interval = optimal_interval(
-                    spec,
-                    float(bid),
-                    fm,
-                    self.ondemand,
-                    step_hours=step,
-                    refine=self.config.interval_refine,
+            )
+        else:
+            intervals = np.empty(bids.size)
+            outcomes = []
+            for b, bid in enumerate(bids):
+                if not cfg.checkpointing:
+                    interval = spec.exec_time  # w/o-CK ablation
+                else:
+                    interval = optimal_interval(
+                        spec, float(bid), fm, self.ondemand,
+                        step_hours=step, refine=cfg.interval_refine,
+                    )
+                intervals[b] = interval
+                outcomes.append(
+                    GroupOutcome.build(spec, float(bid), interval, fm, step)
                 )
-            outcome = GroupOutcome.build(spec, float(bid), interval, fm, step)
-            intervals[b] = interval
-            outcomes.append(outcome)
-            wall_max = max(wall_max, float(outcome.wall.max()))
+            e_spot = np.array([o.expected_spot_cost() for o in outcomes])
+            e_wall = np.array([float(np.dot(o.pmf, o.wall)) for o in outcomes])
+            e_ratio = np.array(
+                [float(np.dot(o.pmf, o.ratios)) for o in outcomes]
+            )
         return _RawGroupEntry(
             token=token,
             bids=bids,
             intervals=intervals,
             outcomes=outcomes,
-            e_spot=np.array([o.expected_spot_cost() for o in outcomes]),
-            e_wall=np.array([float(np.dot(o.pmf, o.wall)) for o in outcomes]),
-            e_ratio=np.array([float(np.dot(o.pmf, o.ratios)) for o in outcomes]),
-            wall_max=wall_max,
+            e_spot=e_spot,
+            e_wall=e_wall,
+            e_ratio=e_ratio,
+            wall_max=max([0.0] + [float(o.wall.max()) for o in outcomes]),
         )
 
     def _raw_entries(self) -> dict[int, _RawGroupEntry]:
@@ -497,21 +494,23 @@ class TwoLevelOptimizer:
                 missing = [i for i, _ in specs if i not in entries]
 
         if missing:
-            bid_rows = None
-            if cfg.grid_eval:
-                bid_rows = grid_eval.bid_matrix_rows(
-                    [self._models[i].max_price() for i in missing],
-                    cfg.bid_levels,
-                    [self._models[i].min_price() for i in missing],
-                )
-            for j, i in enumerate(missing):
-                entry = self._build_entry(
-                    self._models[i], self.problem.groups[i], tokens[i],
-                    None if bid_rows is None else bid_rows[j],
-                )
-                entries[i] = entry
-                if i in per_model:
-                    per_model[i][keys[i]] = entry
+            with metrics.timer("plan.tables"):
+                bid_rows = None
+                if cfg.grid_eval:
+                    bid_rows = grid_eval.bid_matrix_rows(
+                        [self._models[i].max_price() for i in missing],
+                        cfg.bid_levels,
+                        [self._models[i].min_price() for i in missing],
+                    )
+                for j, i in enumerate(missing):
+                    entry = self._build_entry(
+                        self._models[i], self.problem.groups[i], tokens[i],
+                        None if bid_rows is None else bid_rows[j],
+                    )
+                    entries[i] = entry
+                    if i in per_model:
+                        per_model[i][keys[i]] = entry
+            metrics.inc("plan.table_builds", len(missing))
             if bundle_key is not None:
                 arrays = {}
                 for i, _ in specs:
@@ -575,8 +574,8 @@ class TwoLevelOptimizer:
                 surv_ratio = np.empty((nb, _RATIO_GRID))
                 surv_wall = np.empty((nb, _WALL_GRID))
                 for b, o in enumerate(entry.outcomes):
-                    surv_ratio[b] = _survival_rows(o.ratios, o.pmf, ratio_mid)
-                    surv_wall[b] = _survival_rows(o.wall, o.pmf, wall_mid)
+                    surv_ratio[b] = survival(o.ratio_marginal, ratio_mid)
+                    surv_wall[b] = survival(o.wall_marginal, wall_mid)
                 grids_map[i] = (surv_ratio, surv_wall)
                 if self.config.table_cache:
                     entry.grids[wall_hi] = grids_map[i]

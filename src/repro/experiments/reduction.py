@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from ..core.bid_search import log_bid_candidates, uniform_bid_candidates
-from ..core.cost_model import GroupOutcome, evaluate
-from ..core.interval import optimal_interval
+from ..core.cost_model import evaluate
+from ..core.grid_eval import group_table_grid
 from ..core.ondemand_select import select_ondemand_relaxed
 from .common import ExperimentResult
 from .env import ExperimentEnv, LOOSE_DEADLINE_FACTOR
@@ -76,11 +76,9 @@ def run(env: ExperimentEnv, app_name: str = "BT") -> ExperimentResult:
         for i in indices:
             spec = problem.groups[i]
             fm = models[spec.key]
-            bids = candidate_fn(fm)
-            outcomes = []
-            for bid in bids:
-                interval = optimal_interval(spec, float(bid), fm, ondemand)
-                outcomes.append(GroupOutcome.build(spec, float(bid), interval, fm))
+            _, outcomes, _, _, _ = group_table_grid(
+                spec, candidate_fn(fm), fm, ondemand
+            )
             per_group.append(outcomes)
         best = np.inf
         evals = 0

@@ -21,6 +21,8 @@ the *maximum* observed price to decide termination — a spike shorter than
 a step still kills the instance — and the mean price for payment.
 
 The same small set of log-bid candidates is queried over and over by
+the planner's table kernel :func:`repro.core.grid_eval.group_table_grid`
+(once per bid per table), its scalar reference
 :func:`repro.core.interval.optimal_interval`,
 :meth:`repro.core.cost_model.GroupOutcome.build` and every baseline, so
 the per-bid quantities (``steps_to_failure``, ``failure_pmf``,

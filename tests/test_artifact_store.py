@@ -18,7 +18,7 @@ from repro.cloud.instance_types import get_instance_type
 from repro.config import SompiConfig
 from repro.core.optimizer import SompiOptimizer
 from repro.core.problem import OnDemandOption, Problem
-from repro.core.two_level import clear_shared_caches
+from repro.core.two_level import _entry_from_arrays, clear_shared_caches
 from repro.execution import artifacts, kernels
 from repro.execution.artifacts import ArtifactStore, get_store
 from repro.market.history import SpotPriceHistory
@@ -192,6 +192,35 @@ class TestPlannerLifecycle:
             assert path.read_bytes() != b"garbage"
             with np.load(path, allow_pickle=False):
                 pass
+
+    @pytest.mark.parametrize(
+        "column", ("e_spot", "e_wall", "e_ratio", "wall_max")
+    )
+    def test_misaligned_floor_column_fails_open(self, tmp_path, column):
+        """A group_tables bundle whose per-bid floors (or ``wall_max``)
+        lost their alignment is rejected and rebuilt, never loaded."""
+        problem, history = _problem_and_history()
+        cold = _plan(history, tmp_path, problem)
+        store = ArtifactStore(tmp_path)
+        paths = list(store.root.joinpath("group_tables").rglob("*.npz"))
+        assert paths
+        for path in paths:
+            arrays = store.load("group_tables", path.stem)
+            name = "g0_" + column
+            if column == "wall_max":
+                arrays[name] = np.concatenate([arrays[name], arrays[name]])
+            else:
+                arrays[name] = arrays[name][:-1]
+            assert store.save("group_tables", path.stem, arrays)
+            assert _entry_from_arrays(
+                arrays, "g0_", "token", problem.groups[0], 1.0
+            ) is None
+            assert _entry_from_arrays(
+                arrays, "g1_", "token", problem.groups[1], 1.0
+            ) is not None
+        clear_shared_caches()
+        warm = _plan(history, tmp_path, problem)
+        _assert_same_plan(cold, warm)
 
     def test_plan_invariant_under_cache_and_grid_config(self, tmp_path):
         problem, history = _problem_and_history()

@@ -19,10 +19,16 @@ from repro import obs
 from repro.cloud.billing import CONTINUOUS, HOURLY, BillingPolicy
 from repro.cloud.instance_types import get_instance_type
 from repro.core.bid_search import log_bid_candidates
-from repro.core.cost_model import GroupOutcome
+from repro.core.cost_model import (
+    Expectation,
+    GroupOutcome,
+    evaluate,
+    expected_max,
+    expected_min,
+)
 from repro.core.grid_eval import (
     bid_matrix_rows,
-    optimal_interval_grid,
+    group_table_grid,
     outcome_grid,
 )
 from repro.core.interval import (
@@ -573,25 +579,114 @@ class TestGridEvalParity:
             assert wall[c].tobytes() == o.wall.tobytes()
             assert ratios[c].tobytes() == o.ratios.tobytes()
 
+    @staticmethod
+    def _assert_table_matches(spec, bids, fm, od, refine=True,
+                              checkpointing=True):
+        """group_table_grid against the scalar per-bid loop it replaces:
+        optimal_interval (T without checkpointing), GroupOutcome.build,
+        expected_spot_cost and the two dots — byte for byte."""
+        step = fm.step_hours
+        intervals, outcomes, e_spot, e_wall, e_ratio = group_table_grid(
+            spec, bids, fm, od, step, refine=refine,
+            checkpointing=checkpointing,
+        )
+        ref = []
+        for bid in bids:
+            f = (
+                optimal_interval(spec, float(bid), fm, od, step, refine=refine)
+                if checkpointing
+                else spec.exec_time
+            )
+            ref.append(GroupOutcome.build(spec, float(bid), f, fm, step))
+        assert len(outcomes) == len(ref)
+        assert intervals.tobytes() == np.array(
+            [o.interval for o in ref]
+        ).tobytes()
+        for got, o in zip(outcomes, ref):
+            assert (got.bid, got.interval, got.step_hours) == (
+                o.bid, o.interval, o.step_hours
+            )
+            assert got.expected_price == o.expected_price
+            for name in ("pmf", "productive", "wall", "ratios"):
+                assert getattr(got, name).tobytes() == getattr(
+                    o, name
+                ).tobytes(), name
+        assert e_spot.tobytes() == np.array(
+            [o.expected_spot_cost() for o in ref]
+        ).tobytes()
+        assert e_wall.tobytes() == np.array(
+            [float(np.dot(o.pmf, o.wall)) for o in ref]
+        ).tobytes()
+        assert e_ratio.tobytes() == np.array(
+            [float(np.dot(o.pmf, o.ratios)) for o in ref]
+        ).tobytes()
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("refine", (False, True))
-    def test_optimal_interval_grid_bitwise_equal(self, seed, refine):
+    @pytest.mark.parametrize("checkpointing", (False, True))
+    def test_group_table_grid_bitwise_equal(self, seed, refine,
+                                            checkpointing):
         od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
         for overhead, recovery in ((0.4, 0.5), (0.05, 0.1)):
             spec = make_group(
                 exec_time=6.0, overhead=overhead, recovery=recovery
             )
             fm = self._model(seed, sub=int(overhead * 100))
-            for bid in log_bid_candidates(fm.max_price(), 4, fm.min_price()):
-                got = optimal_interval_grid(
-                    spec, float(bid), fm, od, fm.step_hours, refine=refine
-                )
-                ref = optimal_interval(
-                    spec, float(bid), fm, od, fm.step_hours, refine=refine
-                )
-                # Exact equality: same candidate wins via the same
-                # sequential strict-inequality incumbent rule.
-                assert got == ref
+            bids = log_bid_candidates(fm.max_price(), 4, fm.min_price())
+            self._assert_table_matches(
+                spec, bids, fm, od, refine, checkpointing
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_group_table_grid_edge_cases(self, seed, refine):
+        od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
+        fm = self._model(seed, _CALMER, sub=5)
+        below = float(fm.step_start.min()) * 0.5  # never launches
+        above = fm.max_price() * 2.0  # never fails: mttf = inf
+        assert fm.failure_pmf(below, 7)[0] == 1.0
+        assert fm.mttf_hours(above) == float("inf")
+        bids = np.concatenate([
+            [below],
+            log_bid_candidates(fm.max_price(), 5, fm.min_price()),
+            [above],
+        ])
+        for spec in (
+            make_group(exec_time=6.5, overhead=0.3, recovery=0.4),
+            make_group(exec_time=6.0, overhead=0.0, recovery=0.2),
+            make_group(exec_time=0.7, overhead=0.1, recovery=0.0,
+                       n_instances=1),
+        ):
+            self._assert_table_matches(spec, bids, fm, od, refine)
+
+    def test_group_table_grid_falls_back_to_young(self):
+        """A bid whose every candidate cost is non-finite keeps Young's
+        interval, mixed with refined bids in one call."""
+
+        class InfPrice:
+            def __init__(self, fm, bad):
+                self.fm, self.bad, self.step_hours = fm, bad, fm.step_hours
+
+            def __getattr__(self, name):
+                return getattr(self.fm, name)
+
+            def expected_price(self, bid):
+                if bid == self.bad:
+                    return float("inf")
+                return self.fm.expected_price(bid)
+
+        od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
+        fm = self._model(3)
+        bids = log_bid_candidates(fm.max_price(), 4, fm.min_price())
+        stub = InfPrice(fm, float(bids[-1]))
+        spec = make_group(exec_time=6.0, overhead=0.4, recovery=0.5)
+        self._assert_table_matches(spec, bids, stub, od)
+        young = young_interval(
+            spec.checkpoint_overhead, fm.mttf_hours(float(bids[-1])),
+            spec.exec_time,
+        )
+        intervals = group_table_grid(spec, bids, stub, od)[0]
+        assert intervals[-1] == young
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_subset_bounds_matches_scalar_subset_bound(self, seed, tmp_path):
@@ -639,3 +734,132 @@ class TestGridEvalParity:
                 assert float(cost_b[row]) == opt._subset_bound(chosen, "cost")
                 assert float(time_b[row]) == opt._subset_bound(chosen, "time")
         clear_shared_caches()
+
+
+# ----------------------------------------------------------------------
+# Exact evaluation on cached sorted marginals
+# ----------------------------------------------------------------------
+def _ref_survival_at(values, pmf, grid):
+    """The per-call-sort survival function evaluate() used before the
+    sorted marginals were cached on GroupOutcome."""
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ps = pmf[order]
+    tail = np.cumsum(ps[::-1])[::-1]
+    idx = np.searchsorted(vs, grid, side="left")
+    out = np.zeros(grid.size)
+    inside = idx < vs.size
+    out[inside] = tail[idx[inside]]
+    return out
+
+
+def _ref_expected_min(values_list, pmf_list):
+    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
+    grid = grid[grid > 0]
+    if grid.size == 0:
+        return 0.0
+    surv = np.ones(grid.size)
+    for values, pmf in zip(values_list, pmf_list):
+        surv *= _ref_survival_at(
+            np.asarray(values, float), np.asarray(pmf, float), grid
+        )
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, surv))
+
+
+def _ref_expected_max(values_list, pmf_list):
+    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
+    grid = grid[grid > 0]
+    if grid.size == 0:
+        return 0.0
+    prod_below = np.ones(grid.size)
+    for values, pmf in zip(values_list, pmf_list):
+        prod_below *= 1.0 - _ref_survival_at(
+            np.asarray(values, float), np.asarray(pmf, float), grid
+        )
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, 1.0 - prod_below))
+
+
+def _ref_evaluate(outcomes, ondemand):
+    spot_cost = sum(o.expected_spot_cost() for o in outcomes)
+    pmfs = [o.pmf for o in outcomes]
+    e_min_ratio = _ref_expected_min([o.ratios for o in outcomes], pmfs)
+    e_max_wall = _ref_expected_max([o.wall for o in outcomes], pmfs)
+    od_cost = e_min_ratio * ondemand.full_run_cost
+    time = e_max_wall + e_min_ratio * ondemand.exec_time
+    completion = 1.0 - float(
+        np.prod([1.0 - o.completion_probability for o in outcomes])
+    )
+    return Expectation(
+        cost=spot_cost + od_cost,
+        time=time,
+        spot_cost=spot_cost,
+        ondemand_cost=od_cost,
+        expected_min_ratio=e_min_ratio,
+        expected_max_wall=e_max_wall,
+        completion_probability=completion,
+    )
+
+
+def _random_outcome(rng, zone):
+    exec_time = float(rng.choice([3.0, 5.5, 8.0, 12.25]))
+    step = float(rng.choice([0.5, 1.0]))
+    spec = make_group(
+        zone=zone,
+        exec_time=exec_time,
+        overhead=float(rng.choice([0.0, 0.1, 0.45])),
+        recovery=float(rng.choice([0.0, 0.2, 0.6])),
+        n_instances=int(rng.integers(1, 9)),
+    )
+    n = max(1, int(np.ceil(exec_time / step)))
+    pmf = rng.dirichlet(np.full(n + 1, 0.3))
+    pmf[rng.random(n + 1) < 0.3] = 0.0  # exact zeros: flat tail runs
+    if pmf.sum() == 0.0:
+        pmf[-1] = 1.0
+    pmf /= pmf.sum()
+    interval = float(rng.uniform(0.3, 1.2) * exec_time)
+    return GroupOutcome.from_pmf(
+        spec, float(rng.uniform(0.01, 1.0)), interval, pmf,
+        float(rng.uniform(0.01, 0.5)), step,
+    )
+
+
+class TestSortedMarginalParity:
+    """evaluate / expected_min / expected_max on marginals sorted once per
+    outcome, against the per-call-sort implementation, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_evaluate_matches_per_call_sort(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        od = OnDemandOption(
+            get_instance_type("c3.xlarge"), 8, float(rng.uniform(2.0, 9.0))
+        )
+        for _ in range(25):
+            k = int(rng.integers(1, 5))
+            outcomes = [
+                _random_outcome(rng, f"us-east-1{'abcd'[j]}")
+                for j in range(k)
+            ]
+            ref = np.array(dataclasses.astuple(_ref_evaluate(outcomes, od)))
+            # Twice: the second call reads the cached marginals.
+            for _ in range(2):
+                got = np.array(dataclasses.astuple(evaluate(outcomes, od)))
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_expected_min_max_match_per_call_sort(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        for _ in range(25):
+            k = int(rng.integers(1, 5))
+            values, pmfs = [], []
+            for _ in range(k):
+                size = int(rng.integers(1, 30))
+                # Few distinct values: ties exercise the stable sort.
+                values.append(rng.choice([0.0, 0.25, 0.5, 1.0, 2.5], size))
+                pmfs.append(rng.dirichlet(np.ones(size)))
+            for got, ref in (
+                (expected_min(values, pmfs), _ref_expected_min(values, pmfs)),
+                (expected_max(values, pmfs), _ref_expected_max(values, pmfs)),
+            ):
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
