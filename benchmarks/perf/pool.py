@@ -47,6 +47,7 @@ from repro.execution.montecarlo import (
     sample_start_times,
 )
 from repro.execution.pool import WorkerPool
+from repro.execution.batch_replay import RunBatch
 from repro.execution.shm_pool import SharedTracePool
 from repro.experiments.env import ExperimentEnv, LOOSE_DEADLINE_FACTOR
 from repro.market.history import SpotPriceHistory
@@ -112,7 +113,9 @@ def _percall_spawn_mc(problem, decision, history, starts):
                     )
                     for chunk in chunks
                 ]
-            return [r for f in futures for r in f.result()[0]]
+            return RunBatch.concat(
+                [f.result()[0] for f in futures]
+            ).results()
     finally:
         if shm is not None:
             shm.close()

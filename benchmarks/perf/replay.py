@@ -45,7 +45,7 @@ def _time_semantics(env, n_starts: int, semantics: str):
         t1 = time.perf_counter()
         batch = replay_batch(
             problem, decision, env.history, starts, semantics=semantics
-        )
+        ).results()
         t2 = time.perf_counter()
         for a, b in zip(seq, batch):
             assert (a.cost, a.makespan, a.completed_by) == (

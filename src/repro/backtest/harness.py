@@ -51,9 +51,9 @@ from ..core.windows import (
     split_windows,
 )
 from ..errors import ConfigurationError
-from ..execution.montecarlo import replay_many, resolve_jobs
+from ..execution.batch_replay import RunBatch
+from ..execution.montecarlo import resolve_jobs, sample_replays
 from ..execution.replay import decision_horizon
-from ..execution.results import MonteCarloSummary
 from ..execution.shm_pool import (
     SharedHistoryHandle,
     attach_history,
@@ -304,7 +304,7 @@ def _group_calibration(
     plan: SompiPlan,
     models: Mapping[MarketKey, FailureModel],
     step_hours: float,
-    replays,
+    replays: RunBatch,
 ) -> Tuple[GroupCalibrationPoint, ...]:
     """One calibration point per planned group.
 
@@ -312,8 +312,13 @@ def _group_calibration(
     failure within the group's failure-free wall time.  Realized: the
     fraction of launched holdout replays in which the group actually
     died out-of-bid.  Groups that never launched contribute no point
-    (there is no realized frequency to compare).
+    (there is no realized frequency to compare).  Replayed groups are
+    matched to the planned one by market key string.
     """
+    replay_keys = [
+        str(problem.groups[gd.group_index].key)
+        for gd in replays.decision.groups
+    ]
     points = []
     for gd in plan.decision.groups:
         spec = problem.groups[gd.group_index]
@@ -325,14 +330,10 @@ def _group_calibration(
             model.failure_pmf(float(gd.bid), horizon_steps)[:-1].sum()
         )
         key_str = str(spec.key)
-        launched = 0
-        died = 0
-        for result in replays:
-            for record in result.group_records:
-                if str(record.key) == key_str and record.launched:
-                    launched += 1
-                    if record.terminated:
-                        died += 1
+        rows = [h for h, key in enumerate(replay_keys) if key == key_str]
+        ran = replays.groups.launched[rows]
+        launched = int(ran.sum())
+        died = int((ran & replays.groups.terminated[rows]).sum())
         if launched == 0:
             continue
         points.append(
@@ -390,14 +391,14 @@ def _run_cell(
                 f"increase the holdout (test) span"
             )
     with metrics.timer("backtest.replay"):
-        replays = replay_many(
+        replays = sample_replays(
             problem,
             plan.decision,
             holdout_history,
             n_samples,
             rng.fresh(stream),
         )
-    summary = MonteCarloSummary.from_results(replays, problem.deadline)
+    summary = replays.summary(problem.deadline)
     calibration = _group_calibration(
         window, app, deadline_name, problem, plan, models,
         config.time_step_hours, replays,

@@ -15,6 +15,9 @@ from typing import Dict, Optional
 from ..errors import CheckpointError
 from ..units import BYTES_PER_GB, check_nonnegative
 
+#: Storage price in $/GB-month (the paper's 2014 S3 rate) and the
+#: month length it is prorated over; the replay's storage bill reads both.
+PRICE_PER_GB_MONTH = 0.03
 HOURS_PER_MONTH = 730.0
 
 
@@ -49,7 +52,7 @@ class S3Store:
         estimate checkpoint upload/download time.
     """
 
-    price_per_gb_month: float = 0.03
+    price_per_gb_month: float = PRICE_PER_GB_MONTH
     bandwidth_mbps: float = 50.0
     #: A single bucket/prefix sustains only so much parallel throughput
     #: (2014-era S3); a 128-instance fleet cannot upload 128x faster.

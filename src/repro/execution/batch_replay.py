@@ -17,6 +17,17 @@ advances every still-active sample one launch/death/progress step as
 array operations, so the Python iteration count is the maximum number of
 relaunches of any sample, not the number of samples.
 
+:func:`replay_batch` returns a :class:`RunBatch`: per-sample
+cost, makespan, completed-by code and on-demand hours, the per-group
+record columns and the spot / on-demand / storage ledger columns, all
+as arrays.  The on-demand recovery (Formula 7) and the checkpoint-storage
+bill (:func:`~.kernels.checkpoint_storage_cost_batch`) are array
+operations too, so a Monte-Carlo summary needs no per-sample Python
+object; ``RunBatch.results()`` builds the :class:`~.results.RunResult`
+objects for the consumers that read them, and in audit or tracing mode
+:func:`replay_batch` builds them itself to hand every sample through
+:func:`~.replay.observe_result`.
+
 The arithmetic mirrors the scalar replay operation-for-operation (same
 IEEE ops in the same order; every run window of a group — or of one
 persistent relaunch round — is billed by one
@@ -44,6 +55,7 @@ from ..errors import ConfigurationError, TraceError
 from ..market.history import SpotPriceHistory
 from .kernels import (
     billed_cost_batch,
+    checkpoint_storage_cost_batch,
     checkpoints_completed_arr,
     progress_after_wall_arr,
     total_wall_arr,
@@ -52,11 +64,10 @@ from .kernels import (
 from .replay import (
     SEMANTICS,
     WindowOutcome,
-    checkpoint_storage_cost,
     decision_horizon,
     observe_result,
 )
-from .results import GroupRunRecord, RunResult
+from .results import ONDEMAND, GroupRunRecord, MonteCarloSummary, RunResult
 
 #: Scalar reference for every public kernel (reprolint R004); parity is
 #: asserted bit-exactly in tests/test_batch_parity.py.
@@ -64,6 +75,172 @@ KERNEL_ORACLES = {
     "replay_window_batch": "repro.execution.replay.replay_window",
     "replay_batch": "repro.execution.replay.replay_decision",
 }
+
+
+@dataclass(eq=False)
+class GroupColumns:
+    """:class:`GroupRunRecord` fields as arrays.
+
+    One group's replay over a batch of starts is 1-D (the kernels'
+    output); :meth:`stack` lays every group of a decision out as
+    ``(n_groups, n_samples)``, in decision order.  ``launch`` is
+    meaningful only where ``launched``.
+    """
+
+    launched: np.ndarray  # bool
+    launch: np.ndarray
+    end: np.ndarray
+    terminated: np.ndarray  # bool
+    completed: np.ndarray  # bool
+    productive: np.ndarray
+    saved: np.ndarray
+    n_ckpt: np.ndarray  # int64
+    spot_cost: np.ndarray
+
+    @classmethod
+    def stack(cls, groups: Sequence["GroupColumns"]) -> "GroupColumns":
+        return cls(*(
+            np.stack([getattr(g, f.name) for g in groups]) for f in fields(cls)
+        ))
+
+    @classmethod
+    def empty(cls, n: int) -> "GroupColumns":
+        """Columns of a decision without spot groups."""
+        dtypes = {"launched": bool, "terminated": bool, "completed": bool,
+                  "n_ckpt": np.int64}
+        return cls(*(
+            np.zeros((0, n), dtype=dtypes.get(f.name, float))
+            for f in fields(cls)
+        ))
+
+    @classmethod
+    def concat(cls, parts: Sequence["GroupColumns"]) -> "GroupColumns":
+        return cls(*(
+            np.concatenate([getattr(p, f.name) for p in parts], axis=1)
+            for f in fields(cls)
+        ))
+
+    def records(self, meta) -> list[tuple[GroupRunRecord, ...]]:
+        """Every sample's records; ``meta`` holds each group's
+        ``(key, bid, interval)`` in decision order."""
+        n = self.launched.shape[1]
+        per_group = []
+        for g, (key, bid, interval) in enumerate(meta):
+            cols = zip(*(getattr(self, f.name)[g].tolist() for f in fields(self)))
+            per_group.append([
+                GroupRunRecord(
+                    key=key, bid=bid, interval=interval, launched=launched,
+                    launch_time=launch if launched else None, end_time=end,
+                    terminated=terminated, completed=completed,
+                    productive=productive, saved=saved, n_checkpoints=n_ckpt,
+                    spot_cost=spot_cost,
+                )
+                for (launched, launch, end, terminated, completed, productive,
+                     saved, n_ckpt, spot_cost) in cols
+            ])
+        return list(zip(*per_group)) if per_group else [()] * n
+
+
+@dataclass(eq=False)
+class RunBatch:
+    """Outcomes of replaying one decision from many starts, as arrays.
+
+    Element ``i`` of every array describes start ``start[i]``; equal,
+    field for field, to the :class:`RunResult` a scalar replay from that
+    start returns (:meth:`results` builds those objects).  Costs are
+    ``(spot + ondemand) + storage`` from the three ledger columns.
+    ``completed_code`` is the decision index of the group that finished
+    first, or :data:`ONDEMAND`; ``ondemand_ratio`` is the recovered
+    fraction of Formula 7 (1.0 where no recovery ran).
+    """
+
+    problem: Problem
+    decision: Decision
+    start: np.ndarray
+    cost: np.ndarray
+    makespan: np.ndarray
+    completed_code: np.ndarray  # int64
+    ondemand_hours: np.ndarray
+    ondemand_ratio: np.ndarray
+    groups: GroupColumns
+    spot: np.ndarray
+    ondemand: np.ndarray
+    storage: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.start.size)
+
+    def summary(self, deadline: Optional[float]) -> MonteCarloSummary:
+        return MonteCarloSummary.from_arrays(
+            self.cost, self.makespan, self.completed_code, deadline
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["RunBatch"]) -> "RunBatch":
+        """The batches' samples in order (chunks of one decision)."""
+        first = parts[0]
+        arrays = {
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(cls)
+            if f.name not in ("problem", "decision", "groups")
+        }
+        return cls(
+            problem=first.problem, decision=first.decision,
+            groups=GroupColumns.concat([p.groups for p in parts]), **arrays,
+        )
+
+    def results(self) -> list[RunResult]:
+        """One :class:`RunResult` per start, ledger included, built on
+        every call."""
+        return self._materialise(None)
+
+    def _materialise(self, observe: Optional[tuple]) -> list[RunResult]:
+        """The objects behind :meth:`results`; ``observe`` is
+        ``(history, billing, semantics, account_storage)`` when
+        :func:`replay_batch` hands every result through
+        :func:`~.replay.observe_result` (audit or tracing on)."""
+        problem, decision = self.problem, self.decision
+        meta = _group_meta(problem, decision)
+        spot_labels = [f"{key} bid=${bid:.4f}" for key, bid, _ in meta]
+        keys = [str(key) for key, _, _ in meta]
+        od_name = problem.ondemand_options[decision.ondemand_index].itype.name
+        out = []
+        for records, start, cost, makespan, code, od_hours, ratio, od, storage in zip(
+            self.groups.records(meta), self.start.tolist(), self.cost.tolist(),
+            self.makespan.tolist(), self.completed_code.tolist(),
+            self.ondemand_hours.tolist(), self.ondemand_ratio.tolist(),
+            self.ondemand.tolist(), self.storage.tolist(),
+        ):
+            ledger = CostLedger()
+            for label, rec in zip(spot_labels, records):
+                ledger.add("spot", label, rec.spot_cost)
+            if not meta:
+                ledger.add("ondemand", f"full run on {od_name}", od)
+            elif code == ONDEMAND:
+                ledger.add("ondemand", f"recovery of {ratio:.2%} on {od_name}", od)
+            if storage > 0:
+                ledger.add("storage", "checkpoint images", storage)
+            result = RunResult(
+                start_time=start,
+                cost=cost,
+                makespan=makespan,
+                completed_by="ondemand" if code == ONDEMAND else keys[code],
+                ondemand_hours=od_hours,
+                group_records=records,
+                ledger=ledger,
+            )
+            if observe is not None:
+                observe_result(result, problem, decision, *observe)
+            out.append(result)
+        return out
+
+
+def _group_meta(problem: Problem, decision: Decision) -> list[tuple]:
+    """``(key, bid, interval)`` of each group, in decision order."""
+    return [
+        (problem.groups[gd.group_index].key, gd.bid, gd.interval)
+        for gd in decision.groups
+    ]
 
 
 @dataclass
@@ -97,28 +274,13 @@ def _group_ctx(spec, gd, trace, cache: bool = True) -> _GroupCtx:
     )
 
 
-@dataclass
-class _GroupBatch:
-    """One group's replay outcome across all starts, as arrays."""
-
-    launched: np.ndarray  # bool
-    launch: np.ndarray  # launch time (garbage where not launched)
-    end: np.ndarray
-    terminated: np.ndarray  # bool
-    completed: np.ndarray  # bool
-    productive: np.ndarray
-    saved: np.ndarray
-    n_ckpt: np.ndarray
-    cost: np.ndarray
-
-
 def _run_group_batch(
     ctx: _GroupCtx,
     t0: np.ndarray,
     t1: np.ndarray,
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
-) -> _GroupBatch:
+) -> GroupColumns:
     """Array version of ``replay._run_group_in_window`` (single-shot)
     over per-element windows ``[t0, t1)``.
 
@@ -188,10 +350,10 @@ def _run_group_batch(
         ctx.trace, launch[run], np.minimum(end[run], ctx.trace.end_time),
         terminated[run], billing,
     ) * spec.n_instances
-    return _GroupBatch(
+    return GroupColumns(
         launched=launched, launch=launch, end=end, terminated=terminated,
         completed=completed, productive=productive, saved=saved,
-        n_ckpt=n_ckpt, cost=cost,
+        n_ckpt=n_ckpt, spot_cost=cost,
     )
 
 
@@ -201,7 +363,7 @@ def _run_group_persistent_batch(
     t1: np.ndarray,
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
-) -> _GroupBatch:
+) -> GroupColumns:
     """Array version of ``replay._run_group_persistent``.
 
     The scalar drives one sample through its relaunch rounds with a
@@ -321,7 +483,7 @@ def _run_group_persistent_batch(
             dead[sjj] = False
             active[sjj] = False
 
-    return _GroupBatch(
+    return GroupColumns(
         launched=~np.isnan(first_launch),
         launch=first_launch,
         end=end,
@@ -330,69 +492,46 @@ def _run_group_persistent_batch(
         productive=productive_tot,
         saved=np.minimum(saved, work_a),
         n_ckpt=ckpts_tot,
-        cost=cost,
+        spot_cost=cost,
     )
 
 
-def _records_at(
-    ctxs: Sequence[_GroupCtx], runs: Sequence[_GroupBatch], i: int, t1_i: float
-) -> tuple[GroupRunRecord, ...]:
-    recs = []
-    for ctx, run in zip(ctxs, runs):
-        launched = bool(run.launched[i])
-        recs.append(
-            GroupRunRecord(
-                key=ctx.spec.key,
-                bid=ctx.bid,
-                interval=ctx.interval,
-                launched=launched,
-                launch_time=float(run.launch[i]) if launched else None,
-                end_time=float(run.end[i]) if launched else t1_i,
-                terminated=bool(run.terminated[i]),
-                completed=bool(run.completed[i]),
-                productive=float(run.productive[i]),
-                saved=float(run.saved[i]),
-                n_checkpoints=int(run.n_ckpt[i]),
-                spot_cost=float(run.cost[i]),
-            )
-        )
-    return tuple(recs)
+@dataclass(eq=False)
+class _Windows:
+    """Every group of a decision over per-sample windows, after the
+    completion cut-back; ``end`` is the window's horizon where a group
+    never launched, as the scalar records it."""
+
+    groups: GroupColumns  # (n_groups, n_samples)
+    t_done: np.ndarray  # first completion instant (+inf: none)
+    winner: np.ndarray  # decision index of the first group to complete
+    any_comp: np.ndarray
+
+    def spot_total(self) -> np.ndarray:
+        """Per-sample spot dollars, ``c0 + c1 + ...`` in decision order."""
+        total = np.zeros(self.t_done.size)
+        for cost in self.groups.spot_cost:
+            total = total + cost
+        return total
+
+    def all_dead(self) -> np.ndarray:
+        return self.groups.terminated.all(axis=0)
 
 
-def replay_window_batch(
+def _replay_windows(
     problem: Problem,
     decision: Decision,
     history: SpotPriceHistory,
     t0: np.ndarray,
     t1: np.ndarray,
-    works: Optional[np.ndarray] = None,
-    persistent: bool = False,
-    billing: BillingPolicy = CONTINUOUS,
-    table_cache: bool = True,
-) -> list[WindowOutcome]:
-    """Batched :func:`repro.execution.replay.replay_window` over
-    per-element windows ``[t0_i, t1_i)``.
-
-    ``works`` optionally carries per-sample remaining work, shaped
-    ``(n_groups, n_samples)`` — the adaptive executor's batched step,
-    where sample *i*'s scaled sub-problem owes ``works[g, i]`` hours of
-    group *g* (``fraction_done`` is folded into ``works`` by the caller,
-    so the outcome's ``gained_fraction`` is relative to ``works``).
-    Outcomes are bit-identical to per-sample ``replay_window`` calls on
-    the correspondingly scaled problems.
-    """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    if np.any(t1 <= t0):
-        i = int(np.flatnonzero(t1 <= t0)[0])
-        raise ConfigurationError(f"empty window [{t0[i]}, {t1[i]})")
-    if not decision.groups:
-        return [
-            WindowOutcome((), 0.0, False, None, None, 0.0, float(t))
-            for t in t0
-        ]
+    works: Optional[np.ndarray],
+    persistent: bool,
+    billing: BillingPolicy,
+    table_cache: bool,
+) -> _Windows:
+    """The array core of :func:`replay_window_batch` (decisions with at
+    least one group)."""
     obs.get_metrics().inc("replay.window_batches")
-
     ctxs = []
     for g, gd in enumerate(decision.groups):
         spec = problem.groups[gd.group_index]
@@ -446,45 +585,76 @@ def replay_window_batch(
                 work=None if works is None else works[g][idx],
                 billing=billing,
             )
-            for f in fields(_GroupBatch):
+            for f in fields(GroupColumns):
                 getattr(runs[g], f.name)[idx] = getattr(sub, f.name)
 
+    groups = GroupColumns.stack(runs)
+    groups.end = np.where(
+        groups.launched, groups.end, np.where(any_comp, t_done, t1)
+    )
+    return _Windows(groups, t_done, winner, any_comp)
+
+
+def replay_window_batch(
+    problem: Problem,
+    decision: Decision,
+    history: SpotPriceHistory,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    works: Optional[np.ndarray] = None,
+    persistent: bool = False,
+    billing: BillingPolicy = CONTINUOUS,
+    table_cache: bool = True,
+) -> list[WindowOutcome]:
+    """Batched :func:`repro.execution.replay.replay_window` over
+    per-element windows ``[t0_i, t1_i)``.
+
+    ``works`` optionally carries per-sample remaining work, shaped
+    ``(n_groups, n_samples)`` — the adaptive executor's batched step,
+    where sample *i*'s scaled sub-problem owes ``works[g, i]`` hours of
+    group *g* (``fraction_done`` is folded into ``works`` by the caller,
+    so the outcome's ``gained_fraction`` is relative to ``works``).
+    Outcomes are bit-identical to per-sample ``replay_window`` calls on
+    the correspondingly scaled problems.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    if np.any(t1 <= t0):
+        i = int(np.flatnonzero(t1 <= t0)[0])
+        raise ConfigurationError(f"empty window [{t0[i]}, {t1[i]})")
+    if not decision.groups:
+        return [
+            WindowOutcome((), 0.0, False, None, None, 0.0, float(t))
+            for t in t0
+        ]
+    w = _replay_windows(
+        problem, decision, history, t0, t1, works, persistent, billing,
+        table_cache,
+    )
+    gained = np.zeros(t0.size)
+    for g, gd in enumerate(decision.groups):
+        work = problem.groups[gd.group_index].exec_time if works is None else works[g]
+        gained = np.maximum(gained, w.groups.saved[g] / work)
+    meta = _group_meta(problem, decision)
+    keys = [str(key) for key, _, _ in meta]
     outcomes = []
-    for i in range(t0.size):
-        horizon_i = float(t_done[i]) if any_comp[i] else float(t1[i])
-        records = _records_at(ctxs, runs, i, horizon_i)
-        cost = sum(r.spot_cost for r in records)
-        if any_comp[i]:
-            win_spec = problem.groups[decision.groups[int(winner[i])].group_index]
+    for records, cost, done, t_done, winner, gain, dead, dead_at in zip(
+        w.groups.records(meta),
+        w.spot_total().tolist(), w.any_comp.tolist(), w.t_done.tolist(),
+        w.winner.tolist(), gained.tolist(), w.all_dead().tolist(),
+        w.groups.end.max(axis=0).tolist(),
+    ):
+        if done:
+            outcomes.append(
+                WindowOutcome(records, cost, True, keys[winner], t_done, 1.0, None)
+            )
+        else:
             outcomes.append(
                 WindowOutcome(
-                    records=records,
-                    cost=cost,
-                    completed=True,
-                    completed_key=str(win_spec.key),
-                    completion_time=float(t_done[i]),
-                    gained_fraction=1.0,
-                    all_dead_at=None,
+                    records, cost, False, None, None, gain,
+                    dead_at if dead else None,
                 )
             )
-            continue
-        gained = 0.0
-        for g, (ctx, rec) in enumerate(zip(ctxs, records)):
-            work_gi = ctx.work if works is None else float(works[g][i])
-            gained = max(gained, rec.saved / work_gi)
-        any_alive = any(not r.terminated for r in records)
-        all_dead_at = None if any_alive else max(r.end_time for r in records)
-        outcomes.append(
-            WindowOutcome(
-                records=records,
-                cost=cost,
-                completed=False,
-                completed_key=None,
-                completion_time=None,
-                gained_fraction=gained,
-                all_dead_at=all_dead_at,
-            )
-        )
     return outcomes
 
 
@@ -498,38 +668,57 @@ def replay_batch(
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
     table_cache: bool = True,
-) -> list[RunResult]:
-    """Replay ``decision`` from every start in ``starts``; equivalent to
-    ``[replay_decision(problem, decision, history, t, horizon=horizon,
-    semantics=semantics, billing=billing, account_storage=account_storage)
-    for t in starts]`` with the trace scans batched across starts."""
+) -> RunBatch:
+    """Replay ``decision`` from every start in ``starts``.
+
+    ``replay_batch(...).results()`` equals ``[replay_decision(problem,
+    decision, history, t, horizon=horizon, semantics=semantics,
+    billing=billing, account_storage=account_storage) for t in
+    starts]``; the batch itself keeps the outcomes as arrays.  With
+    audit or tracing on, every sample's result also goes through
+    :func:`~.replay.observe_result`, as a scalar replay's does.
+    """
     if semantics not in SEMANTICS:
         raise ConfigurationError(
             f"unknown semantics {semantics!r}; known: {SEMANTICS}"
         )
     starts = np.asarray(starts, dtype=float)
     obs.get_metrics().inc("replay.batch_starts", starts.size)
+    n = starts.size
     ondemand = problem.ondemand_options[decision.ondemand_index]
     if not decision.groups:
-        out = []
-        for t in starts:
-            ledger = CostLedger()
-            cost = ondemand.full_run_cost
-            ledger.add("ondemand", f"full run on {ondemand.itype.name}", cost)
-            out.append(
-                observe_result(
-                    RunResult(
-                        start_time=float(t), cost=cost,
-                        makespan=ondemand.exec_time, completed_by="ondemand",
-                        ondemand_hours=ondemand.exec_time,
-                        group_records=(), ledger=ledger,
-                    ),
-                    problem, decision, history, billing, semantics,
-                    account_storage,
-                )
-            )
-        return out
+        batch = RunBatch(
+            problem=problem, decision=decision, start=starts,
+            cost=np.full(n, ondemand.full_run_cost),
+            makespan=np.full(n, ondemand.exec_time),
+            completed_code=np.full(n, ONDEMAND, dtype=np.int64),
+            ondemand_hours=np.full(n, ondemand.exec_time),
+            ondemand_ratio=np.ones(n), groups=GroupColumns.empty(n),
+            spot=np.zeros(n), ondemand=np.full(n, ondemand.full_run_cost),
+            storage=np.zeros(n),
+        )
+    else:
+        batch = _replay_decision_batch(
+            problem, decision, history, starts, horizon, semantics, billing,
+            account_storage, table_cache,
+        )
+    if obs.audit_enabled() or obs.trace_active():
+        batch._materialise((history, billing, semantics, account_storage))
+    return batch
 
+
+def _replay_decision_batch(
+    problem: Problem,
+    decision: Decision,
+    history: SpotPriceHistory,
+    starts: np.ndarray,
+    horizon: Optional[float],
+    semantics: str,
+    billing: BillingPolicy,
+    account_storage: bool,
+    table_cache: bool,
+) -> RunBatch:
+    """:func:`replay_batch` for a decision with spot groups."""
     if horizon is None:
         horizon = decision_horizon(problem, decision)
     t1 = starts + horizon
@@ -550,68 +739,48 @@ def replay_batch(
     if np.any(t1 <= starts):
         raise TraceError("no trace data at the requested start time")
 
-    outcomes = replay_window_batch(
-        problem, decision, history, starts, t1,
-        persistent=(semantics == "persistent"), billing=billing,
-        table_cache=table_cache,
+    w = _replay_windows(
+        problem, decision, history, starts, t1, None,
+        semantics == "persistent", billing, table_cache,
     )
-
-    out = []
-    for i, outcome in enumerate(outcomes):
-        t0_i = float(starts[i])
-        ledger = CostLedger()
-        for rec in outcome.records:
-            ledger.add("spot", f"{rec.key} bid=${rec.bid:.4f}", rec.spot_cost)
-        cost = outcome.cost
-        if outcome.completed:
-            completed_by, od_hours = outcome.completed_key, 0.0
-            finish = outcome.completion_time
-            makespan = finish - t0_i
-        else:
-            # On-demand recovery from the best checkpoint (Formula 7).
-            min_ratio = 1.0
-            for gd, rec in zip(decision.groups, outcome.records):
-                spec = problem.groups[gd.group_index]
-                if rec.saved > 0:
-                    r = (
-                        spec.exec_time - rec.saved + spec.recovery_overhead
-                    ) / spec.exec_time
-                    min_ratio = min(min_ratio, max(0.0, min(1.0, r)))
-            od_start = (
-                outcome.all_dead_at
-                if outcome.all_dead_at is not None
-                else float(t1[i])
-            )
-            completed_by, od_hours = "ondemand", min_ratio * ondemand.exec_time
-            od_cost = od_hours * ondemand.fleet_rate
-            ledger.add(
-                "ondemand",
-                f"recovery of {min_ratio:.2%} on {ondemand.itype.name}",
-                od_cost,
-            )
-            cost = cost + od_cost
-            finish = od_start + od_hours
-            makespan = (od_start - t0_i) + od_hours
-        storage = 0.0
-        if account_storage:
-            storage = checkpoint_storage_cost(
-                problem, decision, outcome.records, finish
-            )
-            if storage > 0:
-                ledger.add("storage", "checkpoint images", storage)
-        result = RunResult(
-            start_time=t0_i,
-            cost=cost + storage,
-            makespan=makespan,
-            completed_by=completed_by,
-            ondemand_hours=od_hours,
-            group_records=outcome.records,
-            ledger=ledger,
+    groups = w.groups
+    # On-demand recovery from the best checkpoint (Formula 7) where no
+    # group completed; the scalar's per-group min() in decision order.
+    ratio = np.ones(starts.size)
+    for g, gd in enumerate(decision.groups):
+        spec = problem.groups[gd.group_index]
+        saved = groups.saved[g]
+        r = (spec.exec_time - saved + spec.recovery_overhead) / spec.exec_time
+        ratio = np.where(
+            saved > 0, np.minimum(ratio, np.maximum(0.0, np.minimum(1.0, r))),
+            ratio,
         )
-        out.append(
-            observe_result(
-                result, problem, decision, history, billing, semantics,
-                account_storage,
-            )
+    ondemand = problem.ondemand_options[decision.ondemand_index]
+    done = w.any_comp
+    od_start = np.where(w.all_dead(), groups.end.max(axis=0), t1)
+    od_hours = np.where(done, 0.0, ratio * ondemand.exec_time)
+    od_cost = od_hours * ondemand.fleet_rate
+    finish = np.where(done, w.t_done, od_start + od_hours)
+    makespan = np.where(done, w.t_done - starts, (od_start - starts) + od_hours)
+    if account_storage:
+        storage = checkpoint_storage_cost_batch(
+            problem, decision, groups.launched, groups.launch, groups.n_ckpt,
+            finish,
         )
-    return out
+    else:
+        storage = np.zeros(starts.size)
+    spot = w.spot_total()
+    return RunBatch(
+        problem=problem,
+        decision=decision,
+        start=starts,
+        cost=(spot + od_cost) + storage,
+        makespan=makespan,
+        completed_code=np.where(done, w.winner, ONDEMAND).astype(np.int64),
+        ondemand_hours=od_hours,
+        ondemand_ratio=np.where(done, 1.0, ratio),
+        groups=groups,
+        spot=spot,
+        ondemand=od_cost,
+        storage=storage,
+    )

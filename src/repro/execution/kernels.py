@@ -29,6 +29,10 @@ here:
   billing with the window bounds resolved at once and the scalar's
   per-window ``np.dot`` kept.
 
+* **Batched checkpoint storage** — :func:`checkpoint_storage_cost_batch`
+  prices the stored checkpoint images of every sample of a replay batch,
+  checkpoint by checkpoint across the batch in the scalar's order.
+
 Bit-identity is the hard contract of the whole kernel layer (DESIGN.md
 §8): same IEEE ops in the same order, verified by the parity tests and
 the :mod:`repro.obs` audit layer.
@@ -41,8 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cloud.s3 import HOURS_PER_MONTH, PRICE_PER_GB_MONTH
 from ..core.two_level import register_cache_clearer
 from ..errors import TraceError
+from ..units import BYTES_PER_GB
 
 #: Scalar reference for every public kernel (reprolint R004): each entry
 #: pairs a vectorized function with the dotted path of the scalar code
@@ -51,6 +57,9 @@ from ..errors import TraceError
 KERNEL_ORACLES = {
     "trace_tables": "repro.cloud.spot.first_at_or_below",
     "billed_cost_batch": "repro.cloud.spot.billed_spot_cost",
+    "checkpoint_storage_cost_batch": (
+        "repro.execution.replay.checkpoint_storage_cost"
+    ),
     "checkpoints_completed_arr": "repro.core.ckpt_math.checkpoints_completed",
     "total_wall_arr": "repro.core.ckpt_math.total_wall",
     "progress_after_wall_arr": "repro.core.ckpt_math.progress_after_wall",
@@ -222,7 +231,8 @@ def trace_tables(trace, bid: float, cache: bool = True) -> TraceBidTables:
 
 
 # ----------------------------------------------------------------------
-# Spot billing (bit-identical to cloud.spot.billed_spot_cost)
+# Spot billing and checkpoint storage (bit-identical to
+# cloud.spot.billed_spot_cost and replay.checkpoint_storage_cost)
 # ----------------------------------------------------------------------
 
 def billed_cost_batch(trace, launch, end, interrupted, policy) -> np.ndarray:
@@ -287,6 +297,48 @@ def billed_cost_batch(trace, launch, end, interrupted, policy) -> np.ndarray:
         k += 1
         idx = idx[n_hours[idx] > k]
     return cost
+
+
+def checkpoint_storage_cost_batch(
+    problem,
+    decision,
+    launched: np.ndarray,
+    launch: np.ndarray,
+    n_ckpt: np.ndarray,
+    run_end: np.ndarray,
+) -> np.ndarray:
+    """Elementwise :func:`repro.execution.replay.checkpoint_storage_cost`
+    over a replay batch.
+
+    ``launched`` / ``launch`` / ``n_ckpt`` are ``(n_groups, n_samples)``
+    record columns in decision order, ``run_end`` the per-sample instant
+    the last image stops being stored.  Each sample accumulates its
+    groups in decision order and each group's images in write order, as
+    the scalar does; the ``k``-th image of every sample that wrote one is
+    priced in one array step.
+    """
+    total = np.zeros(run_end.size)
+    for g, gd in enumerate(decision.groups):
+        spec = problem.groups[gd.group_index]
+        if spec.image_bytes <= 0:
+            continue
+        work = spec.exec_time
+        eff_interval = min(gd.interval, work) if work > 0 else gd.interval
+        cycle = eff_interval + spec.checkpoint_overhead
+        gb = spec.image_bytes / BYTES_PER_GB
+        count = np.where(launched[g], n_ckpt[g], 0)
+        idx = np.flatnonzero(count > 0)
+        k = 0
+        while idx.size:
+            start = launch[g][idx]
+            t_write = start + (k + 1) * cycle
+            t_next = np.where(
+                count[idx] > k + 1, start + (k + 2) * cycle, run_end[idx]
+            )
+            total[idx] += gb * np.maximum(0.0, t_next - t_write)
+            k += 1
+            idx = idx[count[idx] > k]
+    return total * PRICE_PER_GB_MONTH / HOURS_PER_MONTH
 
 
 # ----------------------------------------------------------------------

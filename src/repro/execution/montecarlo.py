@@ -6,13 +6,18 @@ simulation [many] times and calculate the expected cost."  Replays are
 independent given the starting points, which are drawn uniformly from
 the part of the history that leaves room for the replay horizon.
 
-Execution strategy: every spot-using replay — single-shot *and*
-persistent, either billing policy, with or without storage accounting —
-is batched through :mod:`.batch_replay` (bit-identical to the scalar
-loop, see that module); only pure on-demand decisions take the trivial
-scalar path.  Both accept ``jobs`` to fan the pre-drawn starting points
+Execution strategy: every replay — single-shot *and* persistent, either
+billing policy, with or without storage accounting, pure on-demand
+decisions included — is batched through :func:`.batch_replay.
+replay_batch` (bit-identical to the scalar loop, see that module), which
+returns a :class:`~.batch_replay.RunBatch` of arrays.
+:func:`evaluate_decision_mc` summarises those arrays directly
+(:meth:`MonteCarloSummary.from_arrays`) and builds no per-sample object;
+:func:`replay_many` materialises the :class:`RunResult` list for the
+callers that want raw results, and :func:`sample_replays` hands back the
+batch itself.  All accept ``jobs`` to fan the pre-drawn starting points
 out over worker processes — the starts are drawn *before* chunking and
-the chunk results are concatenated in order, so the output is
+each chunk's ``RunBatch`` is concatenated in order, so the output is
 byte-identical to a serial run regardless of ``jobs``.
 
 The fan-out goes through the persistent shared :class:`~.pool.
@@ -33,8 +38,8 @@ from ..cloud.billing import BillingPolicy, CONTINUOUS
 from ..core.problem import Decision, Problem
 from ..errors import ConfigurationError, TraceError
 from ..market.history import SpotPriceHistory
-from .batch_replay import replay_batch
-from .replay import decision_horizon, replay_decision
+from .batch_replay import RunBatch, replay_batch
+from .replay import decision_horizon
 from .results import MonteCarloSummary, RunResult
 from .shm_pool import SharedHistoryHandle, attach_history, shared_trace_handle
 
@@ -98,23 +103,13 @@ def _replay_chunk(
     semantics: str,
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> list[RunResult]:
+) -> RunBatch:
     """Replay one chunk of starting points (module-level so worker
     processes can import it)."""
-    if decision.groups:
-        return replay_batch(
-            problem, decision, history, starts, horizon=horizon,
-            semantics=semantics, billing=billing,
-            account_storage=account_storage,
-        )
-    return [
-        replay_decision(
-            problem, decision, history, float(t), horizon=horizon,
-            semantics=semantics, billing=billing,
-            account_storage=account_storage,
-        )
-        for t in starts
-    ]
+    return replay_batch(
+        problem, decision, history, starts, horizon=horizon,
+        semantics=semantics, billing=billing, account_storage=account_storage,
+    )
 
 
 def _replay_chunk_task(
@@ -126,17 +121,17 @@ def _replay_chunk_task(
     semantics: str,
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> tuple[list[RunResult], dict]:
+) -> tuple[RunBatch, dict]:
     """Worker entry point for one chunk: :func:`_replay_chunk` on a
     freshly reset metrics registry, whose snapshot rides home with the
-    results so the parent folds the chunk's replay counters in (as
+    batch so the parent folds the chunk's replay counters in (as
     ``run_backtest`` does per cell)."""
     obs.reset_metrics()
-    results = _replay_chunk(
+    batch = _replay_chunk(
         problem, decision, history, starts, horizon, semantics, billing,
         account_storage,
     )
-    return results, obs.get_metrics().snapshot()
+    return batch, obs.get_metrics().snapshot()
 
 
 def _replay_chunk_shm(
@@ -148,7 +143,7 @@ def _replay_chunk_shm(
     semantics: str,
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> tuple[list[RunResult], dict]:
+) -> tuple[RunBatch, dict]:
     """Worker entry point for the shared-memory path: attach the pooled
     traces (once per worker — the handle is tiny, the attach is cached)
     and replay exactly like :func:`_replay_chunk_task`."""
@@ -158,17 +153,15 @@ def _replay_chunk_shm(
     )
 
 
-def _gather_chunks(futures) -> list[RunResult]:
-    """Chunk results in submission (= start) order; the workers'
-    metrics merge only once every chunk has succeeded, so a gather that
-    fails over to the pickling path counts nothing twice."""
+def _gather_chunks(futures) -> RunBatch:
+    """Chunk batches concatenated in submission (= start) order; the
+    workers' metrics merge only once every chunk has succeeded, so a
+    gather that fails over to the pickling path counts nothing twice."""
     gathered = [future.result() for future in futures]
     metrics = obs.get_metrics()
-    results: list[RunResult] = []
-    for chunk_results, snapshot in gathered:
+    for _batch, snapshot in gathered:
         metrics.merge_snapshot(snapshot)
-        results.extend(chunk_results)
-    return results
+    return RunBatch.concat([batch for batch, _snapshot in gathered])
 
 
 def resolve_jobs(jobs: Optional[int], n_starts: int) -> int:
@@ -200,7 +193,7 @@ def _replay_starts(
     jobs: Optional[int],
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> list[RunResult]:
+) -> RunBatch:
     """Replay every start, fanning chunks out to worker processes.
 
     The shared-memory shipping is fail-open twice over: a platform
@@ -211,10 +204,9 @@ def _replay_starts(
     Results are byte-identical on every path (same arrays, same replay
     code) and each degradation is a counted metric, never an error.
     """
-    if decision.groups:
-        # One batched replay per evaluation, however many chunks carry
-        # it; the chunks' ``replay.batch_starts`` come home with them.
-        obs.get_metrics().inc("replay.batch_runs")
+    # One batched replay per evaluation, however many chunks carry it;
+    # the chunks' ``replay.batch_starts`` come home with them.
+    obs.get_metrics().inc("replay.batch_runs")
     n_jobs = resolve_jobs(jobs, int(starts.size))
     if n_jobs > 1:
         from .pool import WorkerPool
@@ -290,11 +282,34 @@ def evaluate_decision_mc(
         problem, decision, history, n_samples, rng, horizon, t_min
     )
     with metrics.timer("mc.replay"):
-        results = _replay_starts(
+        batch = _replay_starts(
             problem, decision, history, starts, horizon, semantics, jobs,
             billing, account_storage,
         )
-    return MonteCarloSummary.from_results(results, deadline)
+    return batch.summary(deadline)
+
+
+def sample_replays(
+    problem: Problem,
+    decision: Decision,
+    history: SpotPriceHistory,
+    n_samples: int,
+    rng: np.random.Generator,
+    horizon: Optional[float] = None,
+    t_min: Optional[float] = None,
+    semantics: str = "single-shot",
+    jobs: Optional[int] = None,
+    billing: BillingPolicy = CONTINUOUS,
+    account_storage: bool = False,
+) -> RunBatch:
+    """Replays from ``n_samples`` random starts, as one :class:`RunBatch`."""
+    starts = sample_start_times(
+        problem, decision, history, n_samples, rng, horizon, t_min
+    )
+    return _replay_starts(
+        problem, decision, history, starts, horizon, semantics, jobs,
+        billing, account_storage,
+    )
 
 
 def replay_many(
@@ -311,10 +326,7 @@ def replay_many(
     account_storage: bool = False,
 ) -> list[RunResult]:
     """Raw replay results (for distribution plots and variance studies)."""
-    starts = sample_start_times(
-        problem, decision, history, n_samples, rng, horizon, t_min
-    )
-    return _replay_starts(
-        problem, decision, history, starts, horizon, semantics, jobs,
-        billing, account_storage,
-    )
+    return sample_replays(
+        problem, decision, history, n_samples, rng, horizon, t_min,
+        semantics, jobs, billing, account_storage,
+    ).results()

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .. import obs
 from ..cloud.billing import BillingPolicy, CONTINUOUS, CostLedger
+from ..cloud.s3 import HOURS_PER_MONTH, PRICE_PER_GB_MONTH
 from ..cloud.spot import (
     billed_spot_cost,
     first_at_or_below,
@@ -364,7 +365,6 @@ def checkpoint_storage_cost(
     decision: Decision,
     records: Sequence[GroupRunRecord],
     run_end: float,
-    price_per_gb_month: float = 0.03,
     fraction_done: float = 0.0,
 ) -> float:
     """S3 storage dollars for the checkpoints of one replay.
@@ -379,7 +379,6 @@ def checkpoint_storage_cost(
     """
     from ..units import BYTES_PER_GB
 
-    hours_per_month = 730.0
     total_gb_hours = 0.0
     for gd, rec in zip(decision.groups, records):
         spec = problem.groups[gd.group_index]
@@ -392,7 +391,7 @@ def checkpoint_storage_cost(
         for k, t_write in enumerate(write_times):
             t_next = write_times[k + 1] if k + 1 < len(write_times) else run_end
             total_gb_hours += gb * max(0.0, t_next - t_write)
-    return total_gb_hours * price_per_gb_month / hours_per_month
+    return total_gb_hours * PRICE_PER_GB_MONTH / HOURS_PER_MONTH
 
 
 def decision_horizon(problem: Problem, decision: Decision) -> float:
@@ -426,9 +425,10 @@ def observe_result(
 
     The shared exit point of the scalar and the batched replay: both
     produce bit-identical :class:`RunResult` objects, and both hand them
-    through here, so the derived event streams are identical by
-    construction and the audit invariants guard both paths equally.
-    No-op beyond two flag checks when observability is off.
+    through here (the batched replay materialises its results for it
+    only while audit or tracing is on), so the derived event streams are
+    identical by construction and the audit invariants guard both paths
+    equally.  No-op beyond two flag checks when observability is off.
     """
     if obs.trace_active():
         obs.emit_events(obs.derive_replay_events(problem, decision, result))

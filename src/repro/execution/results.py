@@ -1,4 +1,11 @@
-"""Result containers for replayed and Monte-Carlo-evaluated executions."""
+"""Result containers for replayed and Monte-Carlo-evaluated executions.
+
+A scalar replay returns one :class:`RunResult`; the batched replay
+returns the same outcomes as arrays
+(:class:`repro.execution.batch_replay.RunBatch`), which
+:meth:`MonteCarloSummary.from_arrays` summarises without building a
+per-sample object.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,12 @@ import numpy as np
 from ..cloud.billing import CostLedger
 from ..errors import ConfigurationError
 from ..market.history import MarketKey
+
+#: Completed-by codes (``RunBatch.completed_code``) besides a group's
+#: decision index: finished by the on-demand recovery, or not finished
+#: at all (only a hand-built :class:`RunResult` list can say the latter).
+ONDEMAND = -1
+UNFINISHED = -2
 
 
 @dataclass(frozen=True)
@@ -75,30 +88,33 @@ class MonteCarloSummary:
     ondemand_fallback_rate: float  # finished on the on-demand recovery
 
     @classmethod
-    def from_results(
-        cls, results: Sequence[RunResult], deadline: Optional[float]
+    def from_arrays(
+        cls,
+        cost: np.ndarray,
+        makespan: np.ndarray,
+        completed_code: np.ndarray,
+        deadline: Optional[float],
     ) -> "MonteCarloSummary":
-        if not results:
+        """Summary of per-sample ``cost``/``makespan`` arrays;
+        ``completed_code`` is a group index (finished on spot),
+        :data:`ONDEMAND` or :data:`UNFINISHED` per sample."""
+        costs = np.ascontiguousarray(cost, dtype=float)
+        times = np.ascontiguousarray(makespan, dtype=float)
+        code = np.asarray(completed_code)
+        if costs.size == 0:
             # Without this, numpy would hand back NaN means and
             # np.percentile would crash with an opaque IndexError.
             raise ConfigurationError(
                 "cannot summarise an empty result list; draw at least one "
                 "Monte-Carlo sample"
             )
-        costs = np.array([r.cost for r in results])
-        times = np.array([r.makespan for r in results])
-        n = len(results)
         misses = (
-            float(np.mean([not r.met_deadline(deadline) for r in results]))
+            float(np.mean(~((code != UNFINISHED) & (times <= deadline + 1e-9))))
             if deadline is not None
             else 0.0
         )
-        spot_done = float(
-            np.mean([r.completed_by not in (None, "ondemand") for r in results])
-        )
-        od_done = float(np.mean([r.completed_by == "ondemand" for r in results]))
         return cls(
-            n_samples=n,
+            n_samples=int(costs.size),
             mean_cost=float(costs.mean()),
             std_cost=float(costs.std()),
             mean_time=float(times.mean()),
@@ -106,6 +122,24 @@ class MonteCarloSummary:
             p95_cost=float(np.percentile(costs, 95)),
             p95_time=float(np.percentile(times, 95)),
             deadline_miss_rate=misses,
-            spot_completion_rate=spot_done,
-            ondemand_fallback_rate=od_done,
+            spot_completion_rate=float(np.mean(code >= 0)),
+            ondemand_fallback_rate=float(np.mean(code == ONDEMAND)),
+        )
+
+    @classmethod
+    def from_results(
+        cls, results: Sequence[RunResult], deadline: Optional[float]
+    ) -> "MonteCarloSummary":
+        """:meth:`from_arrays` over a list of results."""
+        code = [
+            UNFINISHED if r.completed_by is None
+            else ONDEMAND if r.completed_by == "ondemand"
+            else 0
+            for r in results
+        ]
+        return cls.from_arrays(
+            np.array([r.cost for r in results], dtype=float),
+            np.array([r.makespan for r in results], dtype=float),
+            np.array(code, dtype=np.int64),
+            deadline,
         )

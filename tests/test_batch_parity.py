@@ -40,10 +40,19 @@ from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
 from repro.errors import TraceError
 from repro.execution.adaptive import AdaptiveExecutor
-from repro.execution.batch_replay import replay_batch, replay_window_batch
+from repro.execution.batch_replay import (
+    RunBatch,
+    replay_batch,
+    replay_window_batch,
+)
 from repro.execution.kernels import table_cache_size
 from repro.execution.montecarlo import sample_start_times
-from repro.execution.replay import replay_decision, replay_window
+from repro.execution.replay import (
+    checkpoint_storage_cost,
+    replay_decision,
+    replay_window,
+)
+from repro.execution.results import ONDEMAND, GroupRunRecord, MonteCarloSummary
 from repro.market.failure import FailureModel
 from repro.market.generator import (
     RegimeSwitchingGenerator,
@@ -111,6 +120,34 @@ def assert_runs_equal(a, b, ctx=""):
     assert a.ledger.items == b.ledger.items, ctx
 
 
+def reference_summary(results, deadline):
+    """The per-result statistics :meth:`MonteCarloSummary.from_results`
+    computed before it became an adapter over ``from_arrays``."""
+    costs = np.array([r.cost for r in results])
+    times = np.array([r.makespan for r in results])
+    misses = (
+        float(np.mean([not r.met_deadline(deadline) for r in results]))
+        if deadline is not None
+        else 0.0
+    )
+    return MonteCarloSummary(
+        n_samples=len(results),
+        mean_cost=float(costs.mean()),
+        std_cost=float(costs.std()),
+        mean_time=float(times.mean()),
+        std_time=float(times.std()),
+        p95_cost=float(np.percentile(costs, 95)),
+        p95_time=float(np.percentile(times, 95)),
+        deadline_miss_rate=misses,
+        spot_completion_rate=float(np.mean(
+            [r.completed_by not in (None, "ondemand") for r in results]
+        )),
+        ondemand_fallback_rate=float(np.mean(
+            [r.completed_by == "ondemand" for r in results]
+        )),
+    )
+
+
 class TestReplayBatchParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("billing", [CONTINUOUS, HOURLY],
@@ -134,10 +171,114 @@ class TestReplayBatchParity:
         batch = replay_batch(
             problem, decision, h, starts, semantics=semantics,
             billing=billing, account_storage=account_storage,
-        )
+        ).results()
         assert len(batch) == len(scalar)
         for a, b in zip(scalar, batch):
             assert_runs_equal(a, b, f"{seed}/{billing}/{semantics}")
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    @pytest.mark.parametrize("billing", [CONTINUOUS, HOURLY],
+                             ids=["continuous", "hourly"])
+    @pytest.mark.parametrize("semantics", ["single-shot", "persistent"])
+    @pytest.mark.parametrize("account_storage", [False, True],
+                             ids=["nostorage", "storage"])
+    def test_summary_from_arrays_matches_from_results(
+        self, seed, billing, semantics, account_storage
+    ):
+        problem, decision, h = spiky_setup(seed)
+        starts = sample_start_times(
+            problem, decision, h, 40, np.random.default_rng(seed)
+        )
+        batch = replay_batch(
+            problem, decision, h, starts, semantics=semantics,
+            billing=billing, account_storage=account_storage,
+        )
+        scalar = [
+            replay_decision(
+                problem, decision, h, float(t), semantics=semantics,
+                billing=billing, account_storage=account_storage,
+            )
+            for t in starts
+        ]
+        for deadline in (None, 8.0, problem.deadline):
+            got = MonteCarloSummary.from_arrays(
+                batch.cost, batch.makespan, batch.completed_code, deadline
+            )
+            want = MonteCarloSummary.from_results(scalar, deadline)
+            assert got == want
+            assert repr(got) == repr(want)  # float reprs round-trip exactly
+            assert repr(got) == repr(reference_summary(scalar, deadline))
+            assert batch.summary(deadline) == got
+
+    def test_from_results_keeps_unfinished_runs_as_misses(self):
+        """A hand-built result that never finished counts as a deadline
+        miss and as neither completion kind, as before."""
+        problem, decision, h = spiky_setup(SEEDS[0])
+        starts = sample_start_times(
+            problem, decision, h, 6, np.random.default_rng(2)
+        )
+        results = replay_batch(problem, decision, h, starts).results()
+        results[1] = dataclasses.replace(results[1], completed_by=None)
+        for deadline in (None, 1.0, 100.0):
+            got = MonteCarloSummary.from_results(results, deadline)
+            assert repr(got) == repr(reference_summary(results, deadline))
+
+    def test_batch_columns_match_results(self):
+        """The ledger columns are the ledger's categories, per sample."""
+        problem, decision, h = spiky_setup(SEEDS[0])
+        starts = sample_start_times(
+            problem, decision, h, 30, np.random.default_rng(5)
+        )
+        batch = replay_batch(problem, decision, h, starts, billing=HOURLY,
+                             account_storage=True)
+        assert len(batch) == 30
+        codes = set(batch.completed_code.tolist())
+        assert ONDEMAND in codes and codes - {ONDEMAND}  # both outcomes
+        for i, r in enumerate(batch.results()):
+            spot = sum(rec.spot_cost for rec in r.group_records)
+            assert batch.spot[i] == spot
+            assert batch.ondemand[i] == r.ledger.total("ondemand")
+            assert batch.storage[i] == r.ledger.total("storage")
+            assert batch.cost[i] == r.cost
+
+    @pytest.mark.parametrize("semantics", ["single-shot", "persistent"])
+    def test_ondemand_only_decision(self, semantics):
+        problem, _, h = spiky_setup(SEEDS[0])
+        decision = Decision(groups=(), ondemand_index=0)
+        starts = np.array([1.0, 50.0, 120.5])
+        batch = replay_batch(problem, decision, h, starts, semantics=semantics)
+        for t, got in zip(starts, batch.results()):
+            want = replay_decision(
+                problem, decision, h, float(t), semantics=semantics
+            )
+            assert_runs_equal(want, got, semantics)
+        assert batch.groups.launched.shape == (0, 3)
+
+    def test_empty_batch(self):
+        problem, decision, h = spiky_setup(SEEDS[0])
+        batch = replay_batch(problem, decision, h, np.zeros(0))
+        assert len(batch) == 0 and batch.results() == []
+
+    def test_concat_matches_one_batch(self):
+        problem, decision, h = spiky_setup(SEEDS[1])
+        starts = sample_start_times(
+            problem, decision, h, 11, np.random.default_rng(1)
+        )
+        whole = replay_batch(problem, decision, h, starts,
+                             semantics="persistent", account_storage=True)
+        parts = RunBatch.concat([
+            replay_batch(problem, decision, h, chunk, semantics="persistent",
+                         account_storage=True)
+            for chunk in np.array_split(starts, 3)
+        ])
+        for name in ("start", "cost", "makespan", "completed_code",
+                     "ondemand_hours", "spot", "ondemand", "storage"):
+            assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes()
+        for name in ("launched", "launch", "end", "saved", "n_ckpt",
+                     "spot_cost"):
+            a, b = getattr(parts.groups, name), getattr(whole.groups, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert parts.results() == whole.results()
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("persistent", [False, True],
@@ -285,11 +426,13 @@ class TestTableCache:
         )
         clear_shared_caches()
         assert table_cache_size() == 0
-        cached = replay_batch(problem, decision, h, starts, table_cache=True)
+        cached = replay_batch(
+            problem, decision, h, starts, table_cache=True
+        ).results()
         assert table_cache_size() > 0
         uncached = replay_batch(
             problem, decision, h, starts, table_cache=False
-        )
+        ).results()
         for a, b in zip(cached, uncached):
             assert_runs_equal(a, b, "table_cache on/off")
         clear_shared_caches()
@@ -403,6 +546,116 @@ class TestKernelOracleParity:
                     trace, np.array([2.0, bad[0]]), np.array([4.5, bad[1]]),
                     np.array([False, True]), policy,
                 )
+
+    @staticmethod
+    def _storage_problem(image_gb=(2.0, 0.5)):
+        g1 = dataclasses.replace(
+            make_group(exec_time=6.0, overhead=0.4, recovery=0.5),
+            image_bytes=image_gb[0] * BYTES_PER_GB,
+        )
+        g2 = dataclasses.replace(
+            make_group(zone="us-east-1b", exec_time=3.0, overhead=0.3),
+            image_bytes=image_gb[1] * BYTES_PER_GB,
+        )
+        od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
+        problem = Problem(groups=(g1, g2), ondemand_options=(od,),
+                          deadline=40.0)
+        # g2's interval exceeds its work: the timeline uses min(F, T).
+        decision = Decision(
+            groups=(GroupDecision(0, 0.075, 1.3), GroupDecision(1, 0.06, 4.0)),
+            ondemand_index=0,
+        )
+        return problem, decision
+
+    def _assert_storage_matches(self, problem, decision, launched, launch,
+                                n_ckpt, run_end):
+        from repro.execution.kernels import checkpoint_storage_cost_batch
+
+        got = checkpoint_storage_cost_batch(
+            problem, decision, launched, launch, n_ckpt, run_end
+        )
+        assert got.shape == run_end.shape
+        for i in range(run_end.size):
+            records = [
+                GroupRunRecord(
+                    key=problem.groups[gd.group_index].key, bid=gd.bid,
+                    interval=gd.interval, launched=bool(launched[g, i]),
+                    launch_time=float(launch[g, i]) if launched[g, i] else None,
+                    end_time=float(run_end[i]), terminated=False,
+                    completed=False, productive=0.0, saved=0.0,
+                    n_checkpoints=int(n_ckpt[g, i]), spot_cost=0.0,
+                )
+                for g, gd in enumerate(decision.groups)
+            ]
+            want = checkpoint_storage_cost(
+                problem, decision, records, float(run_end[i])
+            )
+            assert got[i] == want, i
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("image_gb", [(2.0, 0.5), (2.0, 0.0), (0.0, 0.0)],
+                             ids=["both", "one-image-free", "no-images"])
+    def test_checkpoint_storage_cost_batch_matches_scalar(self, seed,
+                                                          image_gb):
+        problem, decision = self._storage_problem(image_gb)
+        r = np.random.default_rng(seed + 6)
+        n = 80
+        launched = r.uniform(size=(2, n)) < 0.8
+        launch = np.where(launched, r.uniform(0.0, 50.0, (2, n)), np.nan)
+        n_ckpt = r.integers(0, 9, (2, n))
+        n_ckpt[:, ::5] = 0  # launched but never checkpointed
+        # The last image persists to run_end: some well past the last
+        # write, some before it (max(0, .) clamps the last interval).
+        latest = np.where(launched, launch, 0.0).max(axis=0)
+        run_end = latest + r.uniform(-5.0, 30.0, n)
+        self._assert_storage_matches(problem, decision, launched, launch,
+                                     n_ckpt, run_end)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("semantics", ["single-shot", "persistent"])
+    def test_checkpoint_storage_cost_batch_on_replays(self, seed, semantics):
+        """Completed and on-demand-recovered samples: the last image is
+        stored until each run's own finish (completion or recovery)."""
+        problem, decision, h = spiky_setup(seed, image_gb=2.0)
+        problem = dataclasses.replace(problem, groups=(
+            dataclasses.replace(problem.groups[0],
+                                image_bytes=0.7 * BYTES_PER_GB),
+            problem.groups[1],
+        ))
+        starts = sample_start_times(
+            problem, decision, h, 40, np.random.default_rng(seed)
+        )
+        # A 9 h horizon leaves late launches unfinished: both outcomes.
+        batch = replay_batch(problem, decision, h, starts, horizon=9.0,
+                             semantics=semantics, account_storage=True)
+        codes = set(batch.completed_code.tolist())
+        assert ONDEMAND in codes and codes - {ONDEMAND}
+        assert batch.storage.max() > 0
+        for i, t in enumerate(starts):
+            want = replay_decision(
+                problem, decision, h, float(t), horizon=9.0,
+                semantics=semantics, account_storage=True,
+            )
+            assert batch.storage[i] == want.ledger.total("storage"), i
+
+    def test_checkpoint_storage_cost_batch_edge_cases(self):
+        problem, decision = self._storage_problem()
+        launched = np.array([[False, True, True, True, True],
+                             [False, False, True, True, True]])
+        launch = np.array([[np.nan, 0.0, 3.25, 10.0, 10.0],
+                           [np.nan, np.nan, 3.25, 10.0, 10.0]])
+        n_ckpt = np.array([[5, 0, 1, 4, 4],  # count ignored when unlaunched
+                           [3, 2, 0, 1, 1]])
+        run_end = np.array([20.0, 7.5, 4.0, 10.0, 16.7])
+        self._assert_storage_matches(problem, decision, launched, launch,
+                                     n_ckpt, run_end)
+        from repro.execution.kernels import checkpoint_storage_cost_batch
+
+        empty = checkpoint_storage_cost_batch(
+            problem, decision, launched[:, :0], launch[:, :0], n_ckpt[:, :0],
+            run_end[:0],
+        )
+        assert empty.shape == (0,)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_checkpoints_completed_arr_elementwise(self, seed):

@@ -113,6 +113,42 @@ class TestParallelByteIdentity:
         assert seen[1] == seen[2]
         assert seen[2][1] == [1, 12]
 
+    @pytest.mark.parametrize("path", ["shm", "pickling"])
+    @pytest.mark.parametrize("semantics", ["single-shot", "persistent"])
+    def test_batch_path_matches_serial(
+        self, spiky_problem, monkeypatch, path, semantics
+    ):
+        """Chunked RunBatch returns concatenate to the serial batch:
+        summaries, raw results and replay counters all agree."""
+        from repro.execution import shm_pool
+
+        problem, h = spiky_problem
+        d = self._decision()
+        if path == "pickling":
+            def boom(history):
+                raise OSError("no /dev/shm here")
+
+            shm_pool.close_trace_pools()
+            monkeypatch.setattr(shm_pool, "SharedTracePool", boom)
+        metrics = obs.get_metrics()
+        seen = {}
+        for jobs in (1, 2):
+            before = [metrics.get(n) for n in _REPLAY_COUNTERS]
+            summary = montecarlo.evaluate_decision_mc(
+                problem, d, h, 16, np.random.default_rng(11), jobs=jobs,
+                semantics=semantics, billing=HOURLY,
+            )
+            results = replay_many(
+                problem, d, h, 16, np.random.default_rng(11), jobs=jobs,
+                semantics=semantics, billing=HOURLY,
+            )
+            after = [metrics.get(n) for n in _REPLAY_COUNTERS]
+            seen[jobs] = (
+                repr(summary), results, [b - a for a, b in zip(before, after)]
+            )
+        assert seen[1] == seen[2]
+        assert seen[2][2] == [2, 32]
+
     def test_pickling_fallback_matches_and_is_counted(
         self, spiky_problem, monkeypatch
     ):

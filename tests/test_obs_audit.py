@@ -207,7 +207,7 @@ class TestEventStream:
                 replay_decision(problem, ONE_GROUP, h, float(t)) for t in starts
             ]
         with obs.tracing() as tb:
-            batched = replay_batch(problem, ONE_GROUP, h, starts)
+            batched = replay_batch(problem, ONE_GROUP, h, starts).results()
         assert len(scalar) == len(batched)
         obs.assert_event_parity(ta.events(), tb.events())
 
@@ -219,6 +219,25 @@ class TestAuditRunResult:
                 replay_decision(problem, ONE_GROUP, h, 0.0, account_storage=True)
                 replay_decision(problem, ONE_GROUP, h, 0.0, billing=HOURLY)
                 replay_batch(problem, ONE_GROUP, h, np.array([0.0, 1.0]))
+
+    def test_batch_ledger_ulp_drift_raises(self, monkeypatch):
+        """Audit mode checks every sample of a batched replay: a spot
+        ledger line one ulp off its record fails the whole batch."""
+        from repro.cloud.billing import CostLedger
+        from repro.execution import batch_replay
+
+        class Drifting(CostLedger):
+            def add(self, category, description, dollars):
+                if category == "spot":
+                    dollars = float(np.nextafter(dollars, np.inf))
+                super().add(category, description, dollars)
+
+        problem, h = spike_setup()
+        starts = np.array([0.0, 1.0, 2.5])
+        replay_batch(problem, ONE_GROUP, h, starts)  # clean
+        monkeypatch.setattr(batch_replay, "CostLedger", Drifting)
+        with obs.audited(), pytest.raises(AuditError, match="spot-lines"):
+            replay_batch(problem, ONE_GROUP, h, starts)
 
     def test_cost_drift_raises(self):
         problem, h = flat_setup()
@@ -410,7 +429,7 @@ class TestBillingEdges:
             scalar = [
                 replay_decision(problem, ONE_GROUP, h, float(t)) for t in starts
             ]
-            batched = replay_batch(problem, ONE_GROUP, h, starts)
+            batched = replay_batch(problem, ONE_GROUP, h, starts).results()
         for a, b in zip(scalar, batched):
             assert [
                 (i.category, i.description, i.dollars) for i in a.ledger.items

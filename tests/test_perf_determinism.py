@@ -108,7 +108,9 @@ class TestBatchedReplayIdentical:
             replay_decision(problem, plan.decision, env.history, float(t))
             for t in starts
         ]
-        batched = replay_batch(problem, plan.decision, env.history, starts)
+        batched = replay_batch(
+            problem, plan.decision, env.history, starts
+        ).results()
         assert len(scalar) == len(batched)
         for a, b in zip(scalar, batched):
             assert a.start_time == b.start_time
@@ -146,7 +148,7 @@ class TestObservabilityTransparent:
             ]
             observed_batch = replay_batch(
                 problem, plan.decision, env.history, starts
-            )
+            ).results()
         for a, b, c in zip(plain, observed, observed_batch):
             for other in (b, c):
                 assert a.start_time == other.start_time

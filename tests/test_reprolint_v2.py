@@ -428,13 +428,22 @@ class TestR007LedgerAudit:
         ]
         graph = ProjectGraph.build(units)
         rule = LedgerAuditCoverage()
-        sites = 0
+        sites = set()
         for info in graph.functions.values():
             syms = graph.modules.get(info.module)
             if syms is None or _EXEMPT_PATH_RE.search(syms.relpath):
                 continue
-            sites += len(rule._construction_sites(info.node, syms))
-        assert sites >= 3  # replay, batch_replay x2
+            if rule._construction_sites(info.node, syms):
+                sites.add(info.key)
+        # The scalar replay and the batched replay's materialiser.
+        assert {
+            ("repro.execution.replay", "replay_decision"),
+            ("repro.execution.batch_replay", "RunBatch._materialise"),
+        } <= sites
+        real = run_lint(
+            [REPO_ROOT / "src"], root=REPO_ROOT, rules=get_rules(["R007"])
+        )
+        assert real.findings == []
 
 
 # ----------------------------------------------------------------------
